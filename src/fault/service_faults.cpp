@@ -1,19 +1,17 @@
 #include "service_faults.hpp"
 
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace ringsim::fault {
 
 namespace {
 
-/** splitmix64 finalizer; bit-stable on every platform. */
+/** One splitmix64 step; bit-stable on every platform. */
 std::uint64_t
 mix(std::uint64_t z)
 {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitmix64Finalize(z + 0x9e3779b97f4a7c15ULL);
 }
 
 } // namespace

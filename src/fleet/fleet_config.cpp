@@ -28,12 +28,6 @@ FleetConfig::check() const
                     "' listed twice (shards would double up)");
         }
     }
-    if (attemptsPerWorker == 0)
-        errors.push_back("attemptsPerWorker = 0: every forward "
-                         "would fail without trying");
-    if (retainDone == 0)
-        errors.push_back(
-            "retainDone = 0: async submissions could never be polled");
     return errors;
 }
 

@@ -2,26 +2,36 @@
  * @file
  * ringsim_fleetd: the fleet coordinator daemon.
  *
- * Listens on the same NDJSON protocol as ringsim_serve and routes
- * every job to a fleet of worker daemons: sharded by canonical-spec
- * cache key, sweep jobs split across workers and reassembled
- * byte-identically, duplicate in-flight specs coalesced to one
- * execution, dead workers failed over deterministically. See
- * src/fleet/coordinator.hpp for the full contract.
+ * A service::ServiceCore whose executor forwards jobs to a fleet of
+ * worker daemons: sharded by canonical-spec cache key, sweep jobs
+ * split across workers and reassembled byte-identically, dead workers
+ * failed over deterministically. Admission, coalescing, memoization,
+ * deadlines, cancel and poll are ServiceCore's, exactly as in
+ * ringsim_serve. See src/fleet/remote_executor.hpp.
  */
 
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 
-#include "fleet/coordinator.hpp"
 #include "fleet/fleet_config.hpp"
+#include "fleet/remote_executor.hpp"
+#include "service/config.hpp"
+#include "service/server.hpp"
 #include "service/socket_server.hpp"
 #include "util/logging.hpp"
 
 using namespace ringsim;
 
 namespace {
+
+/**
+ * Coordinator executor threads per worker endpoint: each blocks on
+ * one forward, so two keep every worker busy while the other's
+ * answer travels back.
+ */
+constexpr std::size_t kExecutorsPerWorker = 2;
 
 void
 usage()
@@ -33,23 +43,13 @@ usage()
         "                      (default ringsim-fleet.sock)\n"
         "  --workers E1,E2,... worker daemon endpoints, in shard "
         "order\n"
-        "  --fanout N          concurrent subjob forwards per split "
-        "sweep\n"
-        "                      (default 2 x workers)\n"
-        "  --probe-ms N        dead-worker re-probe interval "
-        "(default 500)\n"
-        "  --attempts N        transport attempts per worker before\n"
-        "                      failing over (default 2)\n"
-        "  --retry-after-ms N  backoff hint when no worker can "
-        "answer\n"
-        "                      (default 250)\n"
+        "  --retry-after-ms N  backoff hint when shedding or no "
+        "worker can\n"
+        "                      answer (default 250)\n"
         "  --retain N          finished records kept for polling "
         "(default 1024)\n"
-        "  --salt S            fleet identity salt (sharding + "
-        "coalescing)\n"
-        "  --no-split          forward sweeps whole instead of "
-        "splitting\n"
-        "                      them into per-block subjobs\n"
+        "  --salt S            cache and shard salt (default "
+        "$RINGSIM_CACHE_SALT)\n"
         "  --degrade           when no worker can answer, serve "
         "degradable\n"
         "                      jobs from the local analytic-model "
@@ -70,7 +70,9 @@ main(int argc, char **argv)
     std::signal(SIGPIPE, SIG_IGN);
 
     std::string endpoint = "ringsim-fleet.sock";
-    fleet::FleetConfig cfg;
+    fleet::FleetConfig fleet_cfg;
+    service::ServiceConfig cfg =
+        service::ServiceConfig::withEnvDefaults();
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -84,16 +86,7 @@ main(int argc, char **argv)
         } else if (arg == "--workers") {
             for (std::string &worker : service::splitEndpointList(
                      need_value("--workers")))
-                cfg.workers.push_back(std::move(worker));
-        } else if (arg == "--fanout") {
-            cfg.fanout = static_cast<unsigned>(std::strtoul(
-                need_value("--fanout").c_str(), nullptr, 10));
-        } else if (arg == "--probe-ms") {
-            cfg.probeMs = std::strtoull(
-                need_value("--probe-ms").c_str(), nullptr, 10);
-        } else if (arg == "--attempts") {
-            cfg.attemptsPerWorker = static_cast<unsigned>(std::strtoul(
-                need_value("--attempts").c_str(), nullptr, 10));
+                fleet_cfg.workers.push_back(std::move(worker));
         } else if (arg == "--retry-after-ms") {
             cfg.retryAfterMs = std::strtoull(
                 need_value("--retry-after-ms").c_str(), nullptr, 10);
@@ -102,8 +95,6 @@ main(int argc, char **argv)
                 need_value("--retain").c_str(), nullptr, 10);
         } else if (arg == "--salt") {
             cfg.salt = need_value("--salt");
-        } else if (arg == "--no-split") {
-            cfg.splitSweeps = false;
         } else if (arg == "--degrade") {
             cfg.degradeToModel = true;
         } else if (arg == "--jobs-per-sweep") {
@@ -118,15 +109,18 @@ main(int argc, char **argv)
             fatal("unknown flag '%s' (try --help)", arg.c_str());
         }
     }
-    cfg.validate();
+    fleet_cfg.validate();
+    cfg.workers = static_cast<unsigned>(kExecutorsPerWorker *
+                                        fleet_cfg.workers.size());
 
-    fleet::FleetCore core(cfg);
+    service::ServiceCore core(
+        cfg, std::make_unique<fleet::RemoteExecutor>(fleet_cfg, cfg.salt));
     service::SocketServer server(core, endpoint);
     std::string error;
     if (!server.tryStart(&error))
         fatal("cannot serve: %s", error.c_str());
     inform("fleet: listening on %s (%zu workers)", endpoint.c_str(),
-           cfg.workers.size());
+           fleet_cfg.workers.size());
     server.serve();
     inform("fleet: shutdown complete");
     return 0;

@@ -8,6 +8,16 @@ namespace ringsim::fleet {
 
 namespace {
 
+/** Minimum interval between liveness re-probes of a dead worker. */
+constexpr std::chrono::milliseconds kProbeInterval{500};
+
+/**
+ * Transport attempts per worker before failing over. Small by design:
+ * a dead worker should cost milliseconds, not a retry storm, because
+ * the failover path recomputes correctly anyway.
+ */
+constexpr unsigned kAttempts = 2;
+
 /**
  * One request/response round trip on a fresh connection. Distinguishes
  * transport failure (false) from an answer (true) — an answer may
@@ -57,11 +67,8 @@ isShed(const util::JsonValue &response)
 
 } // namespace
 
-WorkerPool::WorkerPool(std::vector<std::string> endpoints,
-                       unsigned attempts, std::uint64_t probe_ms)
-    : endpoints_(std::move(endpoints)),
-      attempts_(attempts == 0 ? 1 : attempts),
-      probeInterval_(std::chrono::milliseconds(probe_ms))
+WorkerPool::WorkerPool(std::vector<std::string> endpoints)
+    : endpoints_(std::move(endpoints))
 {
     if (endpoints_.empty())
         panic("WorkerPool: no endpoints");
@@ -77,7 +84,7 @@ WorkerPool::shouldAttempt(std::size_t index)
     if (worker.alive)
         return true;
     Clock::time_point now = Clock::now();
-    if (now - worker.lastProbe < probeInterval_)
+    if (now - worker.lastProbe < kProbeInterval)
         return false;
     // The attempt itself is the probe: success revives the worker,
     // failure re-stamps lastProbe via noteTransportFailure.
@@ -135,7 +142,7 @@ WorkerPool::tryForward(const util::JsonValue &request,
         }
         util::JsonValue reply;
         std::string attempt_error;
-        if (!tryRoundTrip(endpoints_[index], attempts_, request,
+        if (!tryRoundTrip(endpoints_[index], kAttempts, request,
                           &reply, &attempt_error)) {
             noteTransportFailure(index, attempt_error);
             last_error =
@@ -177,7 +184,7 @@ WorkerPool::tryCallWorker(std::size_t index,
         panic("tryCallWorker: index %zu of %zu", index,
               endpoints_.size());
     util::JsonValue reply;
-    if (!tryRoundTrip(endpoints_[index], attempts_, request, &reply,
+    if (!tryRoundTrip(endpoints_[index], kAttempts, request, &reply,
                       error)) {
         noteTransportFailure(index, *error);
         return false;

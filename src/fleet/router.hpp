@@ -20,7 +20,7 @@
  *    answer the same — so it is returned as-is, never failed over.
  *
  * Dead workers are re-probed lazily: the next forward whose failover
- * order crosses one pings it if probeMs has elapsed, so recovery
+ * order crosses one pings it if 500 ms have elapsed, so recovery
  * needs no watchdog thread.
  */
 
@@ -59,13 +59,8 @@ enum class ForwardOutcome
 class WorkerPool
 {
   public:
-    /**
-     * @param endpoints worker endpoints in shard order (nonempty)
-     * @param attempts  transport attempts per worker per forward
-     * @param probe_ms  min interval between re-probes of a dead worker
-     */
-    WorkerPool(std::vector<std::string> endpoints, unsigned attempts,
-               std::uint64_t probe_ms);
+    /** @param endpoints worker endpoints in shard order (nonempty) */
+    explicit WorkerPool(std::vector<std::string> endpoints);
 
     std::size_t size() const { return endpoints_.size(); }
 
@@ -115,8 +110,8 @@ class WorkerPool
 
     /**
      * True when worker @p index should be attempted: alive, or dead
-     * with probeMs elapsed (in which case the attempt *is* the
-     * probe).
+     * with the re-probe interval elapsed (in which case the attempt
+     * *is* the probe).
      */
     bool shouldAttempt(std::size_t index) EXCLUDES(mutex_);
 
@@ -128,8 +123,6 @@ class WorkerPool
         EXCLUDES(mutex_);
 
     const std::vector<std::string> endpoints_;
-    const unsigned attempts_;
-    const std::chrono::milliseconds probeInterval_;
 
     mutable core::Mutex mutex_;
     std::vector<Worker> workers_ GUARDED_BY(mutex_);

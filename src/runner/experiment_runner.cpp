@@ -10,6 +10,7 @@
 #include "util/env.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace ringsim::runner {
 
@@ -56,10 +57,8 @@ std::uint64_t
 jobSeed(std::uint64_t master_seed, std::uint64_t job_key)
 {
     // splitmix64 over the combined words; bit-stable everywhere.
-    std::uint64_t z = master_seed + 0x9e3779b97f4a7c15ULL * (job_key + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitmix64Finalize(master_seed +
+                              0x9e3779b97f4a7c15ULL * (job_key + 1));
 }
 
 const char *

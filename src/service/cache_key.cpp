@@ -1,6 +1,7 @@
 #include "cache_key.hpp"
 
 #include "util/logging.hpp"
+#include "util/rng.hpp"
 
 namespace ringsim::service {
 
@@ -25,12 +26,7 @@ fingerprint64(const std::string &data, std::uint64_t seed)
         h ^= c;
         h *= 0x100000001b3ULL;
     }
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ULL;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return h;
+    return splitmix64Finalize(h);
 }
 
 std::string

@@ -3,12 +3,11 @@
  * Transport-facing interface of an NDJSON line service.
  *
  * SocketServer pumps lines between connections and *some* request
- * handler; PR 5 hard-wired that handler to ServiceCore. The fleet
- * coordinator (src/fleet/) speaks the identical line protocol, so the
- * pump is generalized over this interface: one implementation is a
- * worker daemon (ServiceCore), another is the fleet router
- * (fleet::FleetCore), and both reuse the same accept loop, chaos
- * hooks and connection lifecycle.
+ * handler, so the accept loop, chaos hooks and connection lifecycle
+ * do not depend on what answers. The one handler is ServiceCore —
+ * both a worker daemon and the fleet coordinator, which differ only
+ * in their service::Executor — and the seam keeps the pump testable
+ * without one.
  */
 
 #ifndef RINGSIM_SERVICE_LINE_SERVICE_HPP

@@ -52,10 +52,14 @@ jobStateName(JobState s)
     return "?";
 }
 
-ServiceCore::ServiceCore(const ServiceConfig &cfg)
-    : cfg_(cfg), latency_hist_(0, 60'000, 600)
+ServiceCore::ServiceCore(const ServiceConfig &cfg,
+                         std::unique_ptr<Executor> executor)
+    : cfg_(cfg), executor_(std::move(executor)),
+      latency_hist_(0, 60'000, 600)
 {
     cfg_.validate();
+    if (!executor_)
+        executor_ = std::make_unique<LocalExecutor>(cfg_.jobsPerSweep);
     cache_ = std::make_unique<ResultCache>(cfg_.memCacheEntries,
                                            cfg_.cacheDir);
     if (cfg_.chaos.enabled()) {
@@ -261,8 +265,7 @@ ServiceCore::handleSubmit(const std::string &client,
                                                active_, pool_->jobs());
             factor = 1 + queued / std::max(1u, pool_->jobs());
             busy = active_;
-            if (cfg_.degradeToModel && spec.allowDegraded &&
-                spec.degradable()) {
+            if (mayDegrade(spec)) {
                 try_degrade = true;
                 id = next_id_++;
             }
@@ -274,6 +277,7 @@ ServiceCore::handleSubmit(const std::string &client,
             rec.id = id;
             rec.client = who;
             rec.spec = spec;
+            rec.job = *job;
             rec.key = key;
             rec.enqueued = Clock::now();
             jobs_.emplace(id, std::move(rec));
@@ -296,31 +300,27 @@ ServiceCore::handleSubmit(const std::string &client,
     }
 
     if (shed) {
-        if (try_degrade) {
-            // Model-tier fallback: answer in milliseconds on this
-            // connection's thread instead of shedding. The estimate
-            // is never cached — the exact answer should still be
-            // computed (and memoized) on a calm retry.
-            try {
-                util::JsonValue result =
-                    executeDegraded(spec, cfg_.jobsPerSweep);
-                {
-                    core::MutexLock lock(mutex_);
-                    degraded_.inc();
-                }
-                util::JsonValue o = util::JsonValue::object();
-                o.set("ok", util::JsonValue::boolean(true));
-                o.set("op", util::JsonValue::string("submit"));
-                o.set("id", util::JsonValue::integer(id));
-                o.set("state", util::JsonValue::string("done"));
-                o.set("cached", util::JsonValue::boolean(false));
-                o.set("degraded", util::JsonValue::boolean(true));
-                o.set("result", std::move(result));
-                return o.dump();
-            } catch (const std::exception &e) {
-                warn("service: degraded fallback failed: %s",
-                     e.what());
+        // Model-tier fallback: answer in milliseconds on this
+        // connection's thread instead of shedding. The estimate is
+        // never cached — the exact answer should still be computed
+        // (and memoized) on a calm retry.
+        std::optional<util::JsonValue> estimate;
+        if (try_degrade)
+            estimate = degradedResult(spec);
+        if (estimate) {
+            {
+                core::MutexLock lock(mutex_);
+                degraded_.inc();
             }
+            util::JsonValue o = util::JsonValue::object();
+            o.set("ok", util::JsonValue::boolean(true));
+            o.set("op", util::JsonValue::string("submit"));
+            o.set("id", util::JsonValue::integer(id));
+            o.set("state", util::JsonValue::string("done"));
+            o.set("cached", util::JsonValue::boolean(false));
+            o.set("degraded", util::JsonValue::boolean(true));
+            o.set("result", std::move(*estimate));
+            return o.dump();
         }
         util::JsonValue o =
             errorResponse("submit",
@@ -414,9 +414,7 @@ ServiceCore::handlePoll(const util::JsonValue &req)
         // degradeStarted claims the escalation exactly once across
         // concurrent pollers.
         if (it->second.state == JobState::TimedOut &&
-            cfg_.degradeToModel && it->second.spec.allowDegraded &&
-            it->second.spec.degradable() &&
-            !it->second.degradeStarted) {
+            mayDegrade(it->second.spec) && !it->second.degradeStarted) {
             it->second.degradeStarted = true;
             degrade_spec = it->second.spec;
         } else {
@@ -430,13 +428,8 @@ ServiceCore::handlePoll(const util::JsonValue &req)
     // the lock so other requests keep flowing, then attach it (if
     // the record still exists) so the caller gets a partial answer
     // instead of a bare timeout.
-    std::string result, error;
-    try {
-        result = executeDegraded(degrade_spec, cfg_.jobsPerSweep)
-                     .dump();
-    } catch (const std::exception &e) {
-        error = e.what();
-    }
+    std::optional<util::JsonValue> estimate =
+        degradedResult(degrade_spec);
 
     core::MutexLock lock(mutex_);
     auto it = jobs_.find(id);
@@ -448,13 +441,10 @@ ServiceCore::handlePoll(const util::JsonValue &req)
                              static_cast<unsigned long long>(id)))
             .dump();
     }
-    if (error.empty()) {
+    if (estimate) {
         degraded_.inc();
         it->second.degraded = true;
-        it->second.result = std::move(result);
-    } else {
-        warn("service: degraded escalation for job %llu failed: %s",
-             static_cast<unsigned long long>(id), error.c_str());
+        it->second.result = estimate->dump();
     }
     util::JsonValue o = jobJsonLocked(it->second);
     o.set("op", util::JsonValue::string("poll"));
@@ -606,8 +596,37 @@ ServiceCore::retryJitter(const std::string &client) const
            cfg_.retryAfterMs;
 }
 
+bool
+ServiceCore::mayDegrade(const JobSpec &spec) const
+{
+    return cfg_.degradeToModel && spec.allowDegraded &&
+           spec.degradable();
+}
+
+std::optional<util::JsonValue>
+ServiceCore::degradedResult(const JobSpec &spec) const
+{
+    if (!mayDegrade(spec))
+        return std::nullopt;
+    try {
+        return executeDegraded(spec, cfg_.jobsPerSweep);
+    } catch (const std::exception &e) {
+        warn("service: degraded fallback failed: %s", e.what());
+        return std::nullopt;
+    }
+}
+
 std::string
 ServiceCore::handleStatsz()
+{
+    util::JsonValue o = statszSnapshot();
+    // Off-lock: a remote executor's section does socket round trips.
+    executor_->addStatsz(&o);
+    return o.dump();
+}
+
+util::JsonValue
+ServiceCore::statszSnapshot()
 {
     CacheStats cs = cache_->stats();
     core::MutexLock lock(mutex_);
@@ -690,7 +709,7 @@ ServiceCore::handleStatsz()
     lat.set("p99_ms",
             util::JsonValue::number(latency_hist_.quantile(0.99)));
     o.set("latency", std::move(lat));
-    return o.dump();
+    return o;
 }
 
 std::uint64_t
@@ -716,6 +735,7 @@ ServiceCore::runOne()
 {
     std::uint64_t id = 0;
     JobSpec spec;
+    util::JsonValue job;
     std::string key;
     {
         core::MutexLock lock(mutex_);
@@ -736,16 +756,32 @@ ServiceCore::runOne()
         it->second.started = Clock::now();
         running_.push_back(id);
         spec = it->second.spec;
+        job = std::move(it->second.job);
         key = it->second.key;
     }
 
-    std::string result, error;
+    Execution run;
+    std::string error;
     bool ok = true;
     try {
-        result = executeJob(spec, cfg_.jobsPerSweep).dump();
+        run = executor_->execute(spec, job);
     } catch (const std::exception &e) {
         ok = false;
         error = e.what();
+    }
+    // No executor could answer: fall back exactly as an admission
+    // shed does — the model-tier estimate, else a retry hint.
+    bool unavailable = ok && !run.answered;
+    if (unavailable) {
+        if (std::optional<util::JsonValue> estimate =
+                degradedResult(spec)) {
+            run.result = estimate->dump();
+            run.degraded = true;
+            unavailable = false;
+        } else {
+            ok = false;
+            error = "unavailable: " + run.why;
+        }
     }
 
     // Publish to the cache *before* taking the lock: the disk write
@@ -753,9 +789,10 @@ ServiceCore::runOne()
     // service, and memoization-before-visibility keeps the warm-hit
     // guarantee — a waiter that observes Done can resubmit and hit.
     // A job cancelled or abandoned while running still publishes:
-    // its result is deterministic and correct, only unclaimed.
-    if (ok && !key.empty())
-        cache_->put(key, result);
+    // its result is deterministic and correct, only unclaimed. A
+    // degraded estimate never does.
+    if (ok && !run.degraded && !key.empty())
+        cache_->put(key, run.result);
 
     core::MutexLock lock(mutex_);
     running_.erase(std::remove(running_.begin(), running_.end(), id),
@@ -781,9 +818,14 @@ ServiceCore::runOne()
     latency_hist_.add(ms);
     if (ok) {
         completed_.inc();
-        finishLocked(rec, JobState::Done, std::move(result));
+        if (run.degraded) {
+            degraded_.inc();
+            rec.degraded = true;
+        }
+        finishLocked(rec, JobState::Done, std::move(run.result));
     } else {
         failed_.inc();
+        rec.unavailable = unavailable;
         finishLocked(rec, JobState::Failed, std::move(error));
     }
     done_cv_.notify_all();
@@ -796,6 +838,7 @@ ServiceCore::reapOverdueLocked(Clock::time_point now)
     // deadline from admission. Either one expiring abandons the
     // thread (it cannot be interrupted; the late completion is
     // counted and discarded).
+    bool reaped = false;
     for (std::uint64_t id : running_) {
         auto it = jobs_.find(id);
         if (it == jobs_.end() ||
@@ -805,6 +848,7 @@ ServiceCore::reapOverdueLocked(Clock::time_point now)
         if (cfg_.watchdog.count() > 0 &&
             now - rec.started >= cfg_.watchdog) {
             timed_out_.inc();
+            reaped = true;
             finishLocked(rec, JobState::TimedOut,
                          strprintf("watchdog: exceeded %lld ms",
                                    static_cast<long long>(
@@ -816,6 +860,7 @@ ServiceCore::reapOverdueLocked(Clock::time_point now)
             now - rec.enqueued >= std::chrono::milliseconds(dl)) {
             timed_out_.inc();
             deadline_expired_.inc();
+            reaped = true;
             finishLocked(rec, JobState::TimedOut,
                          strprintf("deadline: exceeded %llu ms "
                                    "while running",
@@ -841,6 +886,7 @@ ServiceCore::reapOverdueLocked(Clock::time_point now)
                 continue;
             cancelled_.inc();
             deadline_expired_.inc();
+            reaped = true;
             finishLocked(rec, JobState::Cancelled,
                          strprintf("deadline: %llu ms expired "
                                    "before dispatch",
@@ -848,7 +894,11 @@ ServiceCore::reapOverdueLocked(Clock::time_point now)
                                        dl)));
         }
     }
-    done_cv_.notify_all();
+    // Wake waiters only on a state change: every waiter reaps on each
+    // wake-up, so an unconditional notify would have two waiters wake
+    // each other in a busy loop for as long as their jobs run.
+    if (reaped)
+        done_cv_.notify_all();
 }
 
 void
@@ -925,6 +975,14 @@ ServiceCore::jobJsonLocked(const JobRecord &rec) const
         rec.state == JobState::TimedOut ||
         rec.state == JobState::Cancelled) {
         o.set("error", util::JsonValue::string(rec.error));
+    }
+    if (rec.unavailable) {
+        // Rendered like an admission shed, so clients back off and
+        // retry instead of treating the failure as final.
+        o.set("ok", util::JsonValue::boolean(false));
+        o.set("retry_after_ms",
+              util::JsonValue::integer(cfg_.retryAfterMs +
+                                       retryJitter(rec.client)));
     }
     return o;
 }

@@ -2,10 +2,11 @@
  * @file
  * Experiment-service core: admission, scheduling and memoization.
  *
- * ServiceCore is the transport-independent heart of ringsim_serve. It
- * speaks one NDJSON request per line through handleLine() and returns
- * one NDJSON response line, so the socket server is a thin pump and
- * tests can drive the whole service in-process.
+ * ServiceCore is the transport-independent heart of ringsim_serve
+ * and ringsim_fleetd. It speaks one NDJSON request per line through
+ * handleLine() and returns one NDJSON response line, so the socket
+ * server is a thin pump and tests can drive the whole service
+ * in-process.
  *
  * Request shapes (all objects, one per line):
  *
@@ -23,6 +24,11 @@
  * where the hint scales with occupancy. Dispatch is round-robin over
  * clients (each pool slot picks the next job from the least-recently
  * served client's FIFO), so one chatty client cannot starve others.
+ *
+ * Execution: an admitted job's answer comes from the Executor
+ * (service/executor.hpp) — in-process for ringsim_serve, forwarded to
+ * worker daemons for ringsim_fleetd. Everything else described here
+ * is the same code for both daemons.
  *
  * Memoization: a cacheable job's canonical spec is hashed (cacheKey)
  * and looked up in the two-tier ResultCache before admission; a hit
@@ -44,10 +50,12 @@
  * admission slot when their pool task drains.
  *
  * Degradation: with ServiceConfig::degradeToModel, a run/sweep/model
- * submit that admission would shed is answered immediately from the
- * analytic-model tier, tagged degraded:true with an error bound; a
- * watchdog-abandoned job surfaces the same estimate as a partial
- * result on the next poll. Degraded answers are never cached.
+ * submit that admission would shed — or one the executor reports no
+ * one could answer — is answered from the analytic-model tier, tagged
+ * degraded:true with an error bound; a watchdog-abandoned job
+ * surfaces the same estimate as a partial result on the next poll.
+ * Without it, both answer {"ok":false,...,"retry_after_ms":N}.
+ * Degraded answers (including an executor's own) are never cached.
  *
  * Concurrency: one core::Mutex guards every piece of job state (the
  * annotations below are checked by Clang Thread Safety Analysis, see
@@ -74,6 +82,7 @@
 #include "core/thread_annotations.hpp"
 #include "runner/experiment_runner.hpp"
 #include "service/config.hpp"
+#include "service/executor.hpp"
 #include "service/job.hpp"
 #include "service/line_service.hpp"
 #include "service/result_cache.hpp"
@@ -97,7 +106,12 @@ const char *jobStateName(JobState s);
 class ServiceCore : public LineService
 {
   public:
-    explicit ServiceCore(const ServiceConfig &cfg);
+    /**
+     * @p executor answers admitted jobs; null runs them in-process
+     * (a LocalExecutor). Its pool holds cfg.workers threads.
+     */
+    explicit ServiceCore(const ServiceConfig &cfg,
+                         std::unique_ptr<Executor> executor = nullptr);
 
     /** Drains the pool (running jobs finish; queued jobs still run). */
     ~ServiceCore() override;
@@ -140,12 +154,14 @@ class ServiceCore : public LineService
         std::uint64_t id = 0;
         std::string client;
         JobSpec spec;
+        util::JsonValue job; //!< client job object (moved out at dispatch)
         std::string key; //!< cache key ("" when not cacheable)
         JobState state = JobState::Queued;
         std::string result; //!< dumped result object (Done/degraded)
         std::string error;  //!< failure text (Failed/TimedOut/...)
         bool degraded = false;       //!< result is a model estimate
         bool degradeStarted = false; //!< escalation claimed (once)
+        bool unavailable = false; //!< no executor answered: shed-style
         std::chrono::steady_clock::time_point enqueued;
         std::chrono::steady_clock::time_point started;
     };
@@ -161,6 +177,9 @@ class ServiceCore : public LineService
         EXCLUDES(mutex_);
     std::string handleStatsz() EXCLUDES(mutex_);
 
+    /** ServiceCore's own statsz sections, under the lock. */
+    util::JsonValue statszSnapshot() EXCLUDES(mutex_);
+
     /**
      * Ask each configured peer's cache for @p key (one hop: the
      * remote cache_get answers from its ResultCache only). Returns
@@ -172,6 +191,18 @@ class ServiceCore : public LineService
 
     /** Deterministic per-client retry jitter in [0, retryAfterMs). */
     std::uint64_t retryJitter(const std::string &client) const;
+
+    /** May @p spec be answered from the analytic-model tier? */
+    bool mayDegrade(const JobSpec &spec) const;
+
+    /**
+     * The one degrade path (admission shed, executor unavailable,
+     * watchdog escalation): the model-tier estimate for @p spec, or
+     * nullopt when mayDegrade() refuses or the solve fails. Runs
+     * off-lock; the caller never caches it.
+     */
+    std::optional<util::JsonValue>
+    degradedResult(const JobSpec &spec) const;
 
     /** Pool slot body: pick the next job fairly and execute it. */
     void runOne() EXCLUDES(mutex_);
@@ -200,6 +231,8 @@ class ServiceCore : public LineService
     const ServiceConfig cfg_;
     std::unique_ptr<ResultCache> cache_;
     std::unique_ptr<fault::ServiceFaultInjector> chaos_;
+    /** Declared before pool_: pool threads use it until they drain. */
+    std::unique_ptr<Executor> executor_;
     std::unique_ptr<runner::ExperimentRunner> pool_;
 
     mutable core::Mutex mutex_;
@@ -212,7 +245,8 @@ class ServiceCore : public LineService
         GUARDED_BY(mutex_);
 
     /**
-     * Single-flight index: cache key -> id of the one admitted job
+     * Single-flight index — the only one; the fleet coordinator is a
+     * ServiceCore too: cache key -> id of the one admitted job
      * computing it. A cacheable submit whose key is already in
      * flight attaches to that job (same id, "coalesced": true, no
      * admission slot) instead of executing again; the entry is

@@ -18,6 +18,20 @@
 namespace ringsim {
 
 /**
+ * The splitmix64 output finalizer: a bijective 64-bit mix, bit-stable
+ * on every platform. Callers apply their own pre-add (splitmix64's
+ * golden-ratio increment, or a keyed combination); this is the shared
+ * tail behind RNG seeding, job seeds, fault schedules and cache keys.
+ */
+inline std::uint64_t
+splitmix64Finalize(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/**
  * xoshiro256** 1.0 generator (Blackman & Vigna, public domain algorithm)
  * with splitmix64 seeding. Bit-reproducible on every platform.
  */

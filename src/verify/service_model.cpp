@@ -301,7 +301,7 @@ struct Explorer
      * transition — done, shed, cancelled, timed out — also answers
      * the job's attached waiters and retires its in-flight entry;
      * this is exactly why a dead leader cannot orphan its waiters in
-     * the real ServiceCore/FleetCore (finishLocked answers before
+     * the real ServiceCore (finishLocked answers before
      * anything can observe the terminal state).
      */
     void

@@ -1,13 +1,14 @@
 /**
  * @file
- * FleetCore tests against real worker daemons on Unix sockets.
+ * Coordinator tests: a ServiceCore driving a RemoteExecutor, against
+ * real worker daemons on Unix sockets.
  *
- * The coordinator is transport-independent (it implements the same
- * LineService interface the workers do), so the tests drive
- * FleetCore::handleLine directly and only the workers get sockets.
- * The load-bearing property is satellite (d) of the fleet PR: any
- * partition of a figure sweep across k workers must reassemble
- * byte-identically to a direct single-process run, faults on or off.
+ * The coordinator is transport-independent (it is the same
+ * ServiceCore the workers run), so the tests drive its handleLine
+ * directly and only the workers get sockets. The load-bearing
+ * property is the partition contract: any split of a figure sweep
+ * across k workers must reassemble byte-identically to a direct
+ * single-process run, faults on or off.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +22,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/fleet/coordinator.hpp"
 #include "src/fleet/fleet_config.hpp"
+#include "src/fleet/remote_executor.hpp"
 #include "src/service/client.hpp"
 #include "src/service/job.hpp"
 #include "src/service/server.hpp"
@@ -62,6 +63,19 @@ workerConfig()
     cfg.memCacheEntries = 64;
     cfg.enableTestJobs = true;
     return cfg;
+}
+
+/** A coordinator over @p endpoints, configured as ringsim_fleetd does. */
+std::unique_ptr<service::ServiceCore>
+makeCoordinator(const std::vector<std::string> &endpoints,
+                service::ServiceConfig cfg = service::ServiceConfig{})
+{
+    FleetConfig fleet_cfg;
+    fleet_cfg.workers = endpoints;
+    cfg.workers = static_cast<unsigned>(2 * endpoints.size());
+    cfg.enableTestJobs = true;
+    return std::make_unique<service::ServiceCore>(
+        cfg, std::make_unique<RemoteExecutor>(fleet_cfg, cfg.salt));
 }
 
 /** One live worker daemon on a Unix socket, torn down on scope exit. */
@@ -105,17 +119,17 @@ class WorkerDaemon
 class Fleet
 {
   public:
-    explicit Fleet(std::size_t n, FleetConfig cfg = FleetConfig{},
+    explicit Fleet(std::size_t n,
                    const service::ServiceConfig &worker_cfg =
                        workerConfig())
     {
+        std::vector<std::string> endpoints;
         for (std::size_t i = 0; i < n; ++i) {
             workers_.push_back(
                 std::make_unique<WorkerDaemon>(worker_cfg));
-            cfg.workers.push_back(workers_.back()->endpoint());
+            endpoints.push_back(workers_.back()->endpoint());
         }
-        cfg.enableTestJobs = true;
-        core_ = std::make_unique<FleetCore>(cfg);
+        core_ = makeCoordinator(endpoints);
     }
 
     util::JsonValue request(const std::string &line)
@@ -123,14 +137,25 @@ class Fleet
         return parse(core_->handleLine("test-client", line));
     }
 
+    /** One request straight to worker @p i, bypassing the coordinator. */
+    util::JsonValue requestWorker(std::size_t i, const std::string &line)
+    {
+        service::ServiceClient client;
+        std::string error, response;
+        EXPECT_TRUE(client.tryConnect(workers_[i]->endpoint(), &error))
+            << error;
+        EXPECT_TRUE(client.tryRequest(line, &response, &error)) << error;
+        return parse(response);
+    }
+
     /** Tear a worker down; its socket goes away with it. */
     void killWorker(std::size_t i) { workers_[i].reset(); }
 
-    FleetCore &core() { return *core_; }
+    service::ServiceCore &core() { return *core_; }
 
   private:
     std::vector<std::unique_ptr<WorkerDaemon>> workers_;
-    std::unique_ptr<FleetCore> core_;
+    std::unique_ptr<service::ServiceCore> core_;
 };
 
 /** The reference run: same job executed directly, no fleet. */
@@ -151,10 +176,17 @@ directText(const std::string &job_json)
 }
 
 std::string
-submitLine(const std::string &job_json)
+submitLine(const std::string &job_json, bool wait = true)
 {
-    return "{\"op\":\"submit\",\"wait\":true,\"job\":" + job_json +
-           "}";
+    return std::string("{\"op\":\"submit\",\"wait\":") +
+           (wait ? "true" : "false") + ",\"job\":" + job_json + "}";
+}
+
+std::string
+idLine(const char *op, std::uint64_t id)
+{
+    return std::string("{\"op\":\"") + op +
+           "\",\"id\":" + std::to_string(id) + "}";
 }
 
 constexpr const char *kSweepJob =
@@ -170,23 +202,19 @@ constexpr const char *kModelJob =
     "{\"type\":\"model\",\"benchmark\":\"mp3d\",\"procs\":8,"
     "\"refs\":2000,\"fast\":true}";
 
-TEST(FleetCore, PingAndBadOps)
+TEST(Coordinator, PingAndBadOps)
 {
     Fleet fleet(1);
     std::vector<std::string> errors;
 
     util::JsonValue ping = fleet.request("{\"op\":\"ping\"}");
     EXPECT_TRUE(ping.getBool("ok", false, &errors));
-    EXPECT_EQ(ping.getString("role", "", &errors), "fleet");
 
     util::JsonValue bad = fleet.request("{\"op\":\"warp\"}");
     EXPECT_FALSE(bad.getBool("ok", true, &errors));
 
-    util::JsonValue cancel =
-        fleet.request("{\"op\":\"cancel\",\"id\":1}");
+    util::JsonValue cancel = fleet.request(idLine("cancel", 1));
     EXPECT_FALSE(cancel.getBool("ok", true, &errors));
-    EXPECT_NE(cancel.getString("error", "", &errors).find("worker"),
-              std::string::npos);
 
     util::JsonValue garbled = fleet.request("not json");
     EXPECT_FALSE(garbled.getBool("ok", true, &errors));
@@ -195,10 +223,10 @@ TEST(FleetCore, PingAndBadOps)
     EXPECT_FALSE(no_job.getBool("ok", true, &errors));
 }
 
-// Satellite (d): the partition property. For every fleet size the
-// split sweep must be byte-identical to the direct run — same text,
-// not just same numbers — with fault injection both off and on.
-TEST(FleetCore, SplitSweepMatchesDirectRunAcrossFleetSizes)
+// The partition property. For every fleet size the split sweep must
+// be byte-identical to the direct run — same text, not just same
+// numbers — with fault injection both off and on.
+TEST(Coordinator, SplitSweepMatchesDirectRunAcrossFleetSizes)
 {
     const std::string expected = directText(kSweepJob);
     const std::string expected_faulty = directText(kFaultySweepJob);
@@ -215,7 +243,6 @@ TEST(FleetCore, SplitSweepMatchesDirectRunAcrossFleetSizes)
             << "k=" << k << ": "
             << r.getString("error", "", &errors);
         EXPECT_EQ(r.getString("state", "", &errors), "done");
-        EXPECT_GT(r.getU64("split", 0, &errors), 1u);
         const util::JsonValue *result = r.find("result");
         ASSERT_NE(result, nullptr);
         EXPECT_EQ(result->getString("kind", "", &errors), "sweep");
@@ -234,10 +261,15 @@ TEST(FleetCore, SplitSweepMatchesDirectRunAcrossFleetSizes)
                   expected_faulty)
             << "fleet of " << k
             << " workers diverged from the direct faulty run";
+
+        util::JsonValue stats = fleet.request("{\"op\":\"statsz\"}");
+        const util::JsonValue *fstats = stats.find("fleet");
+        ASSERT_NE(fstats, nullptr);
+        EXPECT_EQ(fstats->getU64("sweep_splits", 0, &errors), 2u);
     }
 }
 
-TEST(FleetCore, CsvSweepMatchesDirectRun)
+TEST(Coordinator, CsvSweepMatchesDirectRun)
 {
     const std::string csv_job =
         "{\"type\":\"sweep\",\"figure\":\"fig3\",\"refs\":600,"
@@ -253,7 +285,7 @@ TEST(FleetCore, CsvSweepMatchesDirectRun)
     EXPECT_EQ(result->getString("text", "", &errors), expected);
 }
 
-TEST(FleetCore, RequeuesPartsAroundADeadWorker)
+TEST(Coordinator, RequeuesPartsAroundADeadWorker)
 {
     Fleet fleet(3);
     fleet.killWorker(1);
@@ -274,6 +306,7 @@ TEST(FleetCore, RequeuesPartsAroundADeadWorker)
     // 36 fig3 blocks over 3 shards: some parts landed on the dead
     // worker and had to fail over to its successor.
     EXPECT_GE(fstats->getU64("requeues", 0, &errors), 1u);
+    EXPECT_EQ(fstats->getU64("failures", 1, &errors), 0u);
     const util::JsonValue *workers = stats.find("workers");
     ASSERT_NE(workers, nullptr);
     ASSERT_EQ(workers->items().size(), 3u);
@@ -282,16 +315,12 @@ TEST(FleetCore, RequeuesPartsAroundADeadWorker)
     EXPECT_TRUE(workers->items()[1].find("statsz")->isNull());
 }
 
-TEST(FleetCore, CoalescesConcurrentDuplicateSubmits)
+TEST(Coordinator, CoalescesConcurrentDuplicateSubmits)
 {
-    // Two executors, pinned by two sleepers: with the worker's pool
-    // saturated the leader's forward stays in flight long enough for
-    // the duplicate submit below to overlap deterministically. (One
-    // executor would not do — ExperimentRunner runs a 1-job pool
-    // inline on the submitting thread, so nothing queues.)
-    service::ServiceConfig wcfg = workerConfig();
-    wcfg.workers = 2;
-    Fleet fleet(1, FleetConfig{}, wcfg);
+    // One worker, so the coordinator runs two executors; two sleepers
+    // pin both, which keeps the leader below queued long enough for
+    // the duplicate to attach deterministically.
+    Fleet fleet(1);
 
     std::vector<std::thread> sleepers;
     for (int i = 0; i < 2; ++i) {
@@ -310,8 +339,6 @@ TEST(FleetCore, CoalescesConcurrentDuplicateSubmits)
         first_line =
             fleet.core().handleLine("a", submitLine(kModelJob));
     });
-    // The leader is blocked on the worker (queued behind the
-    // sleeper) for ~400 ms; joining within that window coalesces.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     std::thread waiter([&fleet, &second_line]() {
         second_line =
@@ -329,21 +356,25 @@ TEST(FleetCore, CoalescesConcurrentDuplicateSubmits)
     ASSERT_TRUE(second.getBool("ok", false, &errors));
     EXPECT_FALSE(first.getBool("coalesced", false, &errors));
     EXPECT_TRUE(second.getBool("coalesced", false, &errors));
-    EXPECT_NE(first.getU64("id", 0, &errors),
-              second.getU64("id", 0, &errors));
+    // A coalesced duplicate answers with its leader's id.
+    EXPECT_EQ(first.getU64("id", 0, &errors),
+              second.getU64("id", 1, &errors));
     ASSERT_NE(first.find("result"), nullptr);
     ASSERT_NE(second.find("result"), nullptr);
     EXPECT_EQ(first.find("result")->dump(),
               second.find("result")->dump());
 
     util::JsonValue stats = fleet.request("{\"op\":\"statsz\"}");
+    EXPECT_EQ(stats.getU64("coalesced", 0, &errors), 1u);
     const util::JsonValue *fstats = stats.find("fleet");
     ASSERT_NE(fstats, nullptr);
     EXPECT_EQ(fstats->getU64("coalesced", 0, &errors), 1u);
-    EXPECT_EQ(fstats->getU64("inflight", 1, &errors), 0u);
+    EXPECT_EQ(fstats->getU64("forwarded", 0, &errors), 3u)
+        << "two sleepers and one model job; the duplicate must not "
+           "be forwarded";
 }
 
-TEST(FleetCore, PollReplaysTheRetainedAnswer)
+TEST(Coordinator, PollReplaysTheRetainedAnswer)
 {
     Fleet fleet(1);
     std::vector<std::string> errors;
@@ -352,51 +383,154 @@ TEST(FleetCore, PollReplaysTheRetainedAnswer)
     std::uint64_t id = r.getU64("id", 0, &errors);
     ASSERT_GT(id, 0u);
 
-    util::JsonValue p = fleet.request(
-        "{\"op\":\"poll\",\"id\":" + std::to_string(id) + "}");
+    util::JsonValue p = fleet.request(idLine("poll", id));
     ASSERT_TRUE(p.getBool("ok", false, &errors));
     EXPECT_EQ(p.getString("op", "", &errors), "poll");
+    EXPECT_EQ(p.getString("state", "", &errors), "done");
     ASSERT_NE(p.find("result"), nullptr);
     EXPECT_EQ(p.find("result")->dump(), r.find("result")->dump());
 
-    util::JsonValue unknown =
-        fleet.request("{\"op\":\"poll\",\"id\":9999}");
+    util::JsonValue unknown = fleet.request(idLine("poll", 9999));
     EXPECT_FALSE(unknown.getBool("ok", true, &errors));
 }
 
-TEST(FleetCore, DegradesToTheModelTierWhenNoWorkerAnswers)
+TEST(Coordinator, DegradesToTheModelTierWhenNoWorkerAnswers)
 {
     // A fleet whose one worker endpoint was never bound: every
     // forward is a transport failure.
-    FleetConfig cfg;
-    cfg.workers = {uniqueEndpoint()};
+    const std::vector<std::string> dead = {uniqueEndpoint()};
+    service::ServiceConfig cfg;
     cfg.degradeToModel = true;
-    cfg.enableTestJobs = true;
-    FleetCore degrading(cfg);
+    std::unique_ptr<service::ServiceCore> degrading =
+        makeCoordinator(dead, cfg);
 
     std::vector<std::string> errors;
-    util::JsonValue r = parse(
-        degrading.handleLine("c", submitLine(kModelJob)));
-    ASSERT_TRUE(r.getBool("ok", false, &errors))
-        << r.getString("error", "", &errors);
-    EXPECT_TRUE(r.getBool("degraded", false, &errors));
-    ASSERT_NE(r.find("result"), nullptr);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        util::JsonValue r = parse(
+            degrading->handleLine("c", submitLine(kModelJob)));
+        ASSERT_TRUE(r.getBool("ok", false, &errors))
+            << r.getString("error", "", &errors);
+        EXPECT_TRUE(r.getBool("degraded", false, &errors));
+        // Never memoized: the resubmit degrades again.
+        EXPECT_FALSE(r.getBool("cached", true, &errors));
+        ASSERT_NE(r.find("result"), nullptr);
+    }
+    util::JsonValue stats =
+        parse(degrading->handleLine("c", "{\"op\":\"statsz\"}"));
+    EXPECT_EQ(stats.getU64("degraded", 0, &errors), 2u);
+    EXPECT_EQ(stats.find("fleet")->getU64("failures", 0, &errors), 2u);
 
-    // Without the degrade escape hatch the same submit is a
-    // structured failure with a retry hint, not a hang.
+    // Without the degrade escape hatch the same submit is answered
+    // like an admission shed: a structured failure with a retry hint,
+    // not a hang.
     cfg.degradeToModel = false;
     cfg.retryAfterMs = 125;
-    FleetCore failing(cfg);
+    std::unique_ptr<service::ServiceCore> failing =
+        makeCoordinator(dead, cfg);
     util::JsonValue f =
-        parse(failing.handleLine("c", submitLine(kModelJob)));
+        parse(failing->handleLine("c", submitLine(kModelJob)));
     EXPECT_FALSE(f.getBool("ok", true, &errors));
-    EXPECT_NE(f.getString("error", "", &errors)
-                  .find("fleet unavailable"),
+    EXPECT_EQ(f.getString("state", "", &errors), "failed");
+    EXPECT_NE(f.getString("error", "", &errors).find("unavailable"),
               std::string::npos);
-    EXPECT_EQ(f.getU64("retry_after_ms", 0, &errors), 125u);
+    std::uint64_t retry = f.getU64("retry_after_ms", 0, &errors);
+    EXPECT_GE(retry, 125u);
+    EXPECT_LT(retry, 250u);
 }
 
-TEST(FleetCore, StatszAggregatesWorkerSections)
+TEST(Coordinator, WorkerDegradedAnswerIsTaggedAndNeverCached)
+{
+    // A worker that degrades instead of shedding, pinned full by two
+    // sleepers submitted to it directly: every job the coordinator
+    // forwards comes back as a model-tier estimate.
+    service::ServiceConfig wcfg = workerConfig();
+    wcfg.queueDepth = 2;
+    wcfg.degradeToModel = true;
+    Fleet fleet(1, wcfg);
+    std::vector<std::string> errors;
+    for (int i = 0; i < 2; ++i) {
+        util::JsonValue pin = fleet.requestWorker(
+            0, submitLine("{\"type\":\"sleep\",\"ms\":1500}", false));
+        ASSERT_TRUE(pin.getBool("ok", false, &errors));
+    }
+
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        util::JsonValue r = fleet.request(submitLine(kModelJob));
+        ASSERT_TRUE(r.getBool("ok", false, &errors))
+            << r.getString("error", "", &errors);
+        EXPECT_EQ(r.getString("state", "", &errors), "done");
+        EXPECT_TRUE(r.getBool("degraded", false, &errors))
+            << "attempt " << attempt;
+        EXPECT_FALSE(r.getBool("cached", true, &errors))
+            << "a degraded answer entered the coordinator's cache";
+        ASSERT_NE(r.find("result"), nullptr);
+    }
+    util::JsonValue stats = fleet.request("{\"op\":\"statsz\"}");
+    EXPECT_EQ(stats.getU64("cache_answers", 1, &errors), 0u);
+    EXPECT_EQ(stats.getU64("degraded", 0, &errors), 2u);
+    EXPECT_EQ(stats.find("cache")->getU64("stores", 1, &errors), 0u);
+}
+
+TEST(Coordinator, CancelDeadlinesAndAsyncPollWork)
+{
+    // One worker: the coordinator has two executors, pinned here by
+    // two async sleepers so later submits queue at the coordinator.
+    Fleet fleet(1);
+    std::vector<std::string> errors;
+    std::vector<std::uint64_t> sleepers;
+    for (int i = 0; i < 2; ++i) {
+        util::JsonValue r = fleet.request(submitLine(
+            "{\"type\":\"sleep\",\"ms\":" + std::to_string(500 + i) +
+                "}",
+            false));
+        ASSERT_TRUE(r.getBool("ok", false, &errors));
+        sleepers.push_back(r.getU64("id", 0, &errors));
+    }
+
+    // A queued deadline expires before dispatch.
+    util::JsonValue late = fleet.request(submitLine(
+        "{\"type\":\"model\",\"benchmark\":\"water\",\"procs\":8,"
+        "\"refs\":2000,\"fast\":true,\"deadline_ms\":50}",
+        false));
+    ASSERT_TRUE(late.getBool("ok", false, &errors));
+    EXPECT_EQ(late.getString("state", "", &errors), "queued");
+
+    // An explicit cancel of a queued job (a different spec: an equal
+    // one would coalesce onto the job above).
+    util::JsonValue doomed = fleet.request(submitLine(kModelJob, false));
+    ASSERT_TRUE(doomed.getBool("ok", false, &errors));
+    util::JsonValue cancelled = fleet.request(
+        idLine("cancel", doomed.getU64("id", 0, &errors)));
+    ASSERT_TRUE(cancelled.getBool("ok", false, &errors));
+    EXPECT_EQ(cancelled.getString("state", "", &errors), "cancelled");
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    util::JsonValue expired =
+        fleet.request(idLine("poll", late.getU64("id", 0, &errors)));
+    EXPECT_EQ(expired.getString("state", "", &errors), "cancelled");
+    EXPECT_NE(expired.getString("error", "", &errors).find("deadline"),
+              std::string::npos);
+
+    // wait:false then poll: the sleepers finish on the worker and
+    // their answers are polled back through the coordinator.
+    for (std::uint64_t id : sleepers) {
+        std::string state = "running";
+        for (int i = 0; i < 200 && state != "done"; ++i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(25));
+            state = fleet.request(idLine("poll", id))
+                        .getString("state", "", &errors);
+        }
+        EXPECT_EQ(state, "done") << "sleeper " << id;
+    }
+
+    util::JsonValue stats = fleet.request("{\"op\":\"statsz\"}");
+    EXPECT_EQ(stats.getU64("cancelled", 0, &errors), 2u);
+    EXPECT_EQ(stats.getU64("deadline_expired", 0, &errors), 1u);
+    EXPECT_EQ(stats.find("fleet")->getU64("forwarded", 0, &errors), 2u)
+        << "a cancelled or expired job was forwarded anyway";
+}
+
+TEST(Coordinator, StatszAggregatesWorkerSections)
 {
     Fleet fleet(2);
     std::vector<std::string> errors;
@@ -406,13 +540,13 @@ TEST(FleetCore, StatszAggregatesWorkerSections)
     util::JsonValue stats = fleet.request("{\"op\":\"statsz\"}");
     ASSERT_TRUE(stats.getBool("ok", false, &errors));
     EXPECT_EQ(stats.getString("role", "", &errors), "fleet");
+    EXPECT_EQ(stats.getU64("submitted", 0, &errors), 1u);
+    EXPECT_EQ(stats.getU64("completed", 0, &errors), 1u);
 
     const util::JsonValue *fstats = stats.find("fleet");
     ASSERT_NE(fstats, nullptr);
     EXPECT_EQ(fstats->getU64("workers", 0, &errors), 2u);
-    EXPECT_EQ(fstats->getU64("submitted", 0, &errors), 1u);
     EXPECT_EQ(fstats->getU64("forwarded", 0, &errors), 1u);
-    EXPECT_EQ(fstats->getU64("retained", 0, &errors), 1u);
 
     const util::JsonValue *workers = stats.find("workers");
     ASSERT_NE(workers, nullptr);

