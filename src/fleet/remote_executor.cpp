@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "figures/figures.hpp"
+#include "fleet/shard.hpp"
 #include "runner/experiment_runner.hpp"
-#include "service/cache_key.hpp"
 
 namespace ringsim::fleet {
 
@@ -93,12 +93,6 @@ RemoteExecutor::RemoteExecutor(const FleetConfig &cfg, std::string salt)
 {
 }
 
-std::string
-RemoteExecutor::shardKey(const service::JobSpec &spec) const
-{
-    return service::cacheKey(spec.canonical().dump(), salt_);
-}
-
 service::Execution
 RemoteExecutor::execute(const service::JobSpec &spec,
                         const util::JsonValue &job)
@@ -114,7 +108,7 @@ RemoteExecutor::execute(const service::JobSpec &spec,
         if (blocks > 1) {
             out.result = splitSweep(spec, job, blocks).dump();
         } else {
-            util::JsonValue reply = forward(job, shardKey(spec));
+            util::JsonValue reply = forward(job, shardKey(spec, salt_));
             ++forwarded_;
             std::vector<std::string> ignored;
             out.degraded = reply.getBool("degraded", false, &ignored);
@@ -175,7 +169,7 @@ RemoteExecutor::splitSweep(const service::JobSpec &spec,
         service::JobSpec part_spec = spec;
         part_spec.sweepPart = static_cast<std::int64_t>(part);
         tasks.push_back([this, part_job = std::move(part_job),
-                         part_key = shardKey(part_spec), part]() {
+                         part_key = shardKey(part_spec, salt_), part]() {
             return extractPartRows(forward(part_job, part_key), part);
         });
     }

@@ -73,8 +73,6 @@ class RemoteExecutor : public service::Executor
                                const util::JsonValue &job,
                                std::size_t blocks);
 
-    std::string shardKey(const service::JobSpec &spec) const;
-
     WorkerPool pool_;
     const std::string salt_;
 

@@ -15,6 +15,12 @@ constexpr std::uint64_t kShardSeed = 0x464c454554303031ULL;
 
 } // namespace
 
+std::string
+shardKey(const service::JobSpec &spec, const std::string &salt)
+{
+    return service::cacheKey(spec.canonical().dump(), salt);
+}
+
 std::size_t
 shardIndex(const std::string &key, std::size_t n)
 {

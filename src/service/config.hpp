@@ -2,10 +2,11 @@
  * @file
  * Experiment-service configuration.
  *
- * One ServiceConfig describes a ringsim_serve daemon: how many jobs
- * execute concurrently, how deep the admission queue may grow before
- * requests are shed, where the two cache tiers live, and the salt
- * that invalidates every cached result when the code changes.
+ * One ServiceConfig describes the ServiceCore of a ringsim_serve or
+ * ringsim_fleetd daemon: how many jobs execute concurrently, how deep
+ * the admission queue may grow before requests are shed, where the
+ * two cache tiers live, and the salt that invalidates every cached
+ * result when the code changes.
  *
  * Environment defaults (read through util::env, see the getenv lint
  * rule): RINGSIM_WATCHDOG_MS seeds the per-job watchdog and
@@ -47,7 +48,12 @@ struct ServiceConfig
     /** In-memory result-cache capacity, in entries. */
     std::size_t memCacheEntries = 128;
 
-    /** On-disk result-cache directory; empty disables the disk tier. */
+    /**
+     * On-disk result-cache directory; empty disables the disk tier.
+     * Daemons on one machine may share it (publishes and the startup
+     * scan are flock-guarded): that is how one daemon answers from
+     * another's results.
+     */
     std::string cacheDir;
 
     /**
@@ -96,16 +102,6 @@ struct ServiceConfig
      * default — disable injection entirely.
      */
     fault::ServiceFaultConfig chaos;
-
-    /**
-     * Peer daemon endpoints of the fleet cache tier. On a local
-     * cache miss a cacheable submit asks each peer's cache
-     * ({"op":"cache_get"}) before simulating, so a warm answer
-     * anywhere serves the whole fleet. A cache_get never computes and
-     * never consults *its* peers — one hop, no recursion. A dead
-     * peer is a plain miss. Empty (the default) disables the tier.
-     */
-    std::vector<std::string> peers;
 
     /** A config with the environment defaults applied. */
     static ServiceConfig withEnvDefaults();

@@ -282,7 +282,7 @@ ResultCache::diskPut(const std::string &key, const std::string &value)
     // Atomic publish: a reader either sees the whole entry or none.
     // The temp name is unique per store so concurrent writers of the
     // same key cannot interleave into one temp file. The shared dir
-    // lock keeps a peer daemon's startup scan from reaping the temp
+    // lock keeps another daemon's startup scan from reaping the temp
     // file mid-publish.
     ScopedDirLock dir_lock(dir_, LOCK_SH);
     static std::atomic<unsigned> tmp_serial{0};

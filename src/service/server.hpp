@@ -84,7 +84,6 @@
 #include "service/config.hpp"
 #include "service/executor.hpp"
 #include "service/job.hpp"
-#include "service/line_service.hpp"
 #include "service/result_cache.hpp"
 #include "stats/stats.hpp"
 
@@ -103,7 +102,7 @@ enum class JobState {
 /** Printable state name ("queued", ...). */
 const char *jobStateName(JobState s);
 
-class ServiceCore : public LineService
+class ServiceCore
 {
   public:
     /**
@@ -114,7 +113,7 @@ class ServiceCore : public LineService
                          std::unique_ptr<Executor> executor = nullptr);
 
     /** Drains the pool (running jobs finish; queued jobs still run). */
-    ~ServiceCore() override;
+    ~ServiceCore();
 
     ServiceCore(const ServiceCore &) = delete;
     ServiceCore &operator=(const ServiceCore &) = delete;
@@ -122,31 +121,27 @@ class ServiceCore : public LineService
     /**
      * Handle one NDJSON request line from @p client (the connection's
      * identity, used for fairness when the request names no "client")
-     * and return the one-line response (no trailing newline).
+     * and return the one-line response (no trailing newline). Safe to
+     * call from concurrent connection threads.
      */
     std::string handleLine(const std::string &client,
-                           const std::string &line) override
-        EXCLUDES(mutex_);
+                           const std::string &line) EXCLUDES(mutex_);
 
     /** True once a shutdown request has been accepted. */
-    bool shutdownRequested() const override EXCLUDES(mutex_);
+    bool shutdownRequested() const EXCLUDES(mutex_);
 
     /**
      * The connection identified by @p client is gone: cancel its
      * still-queued jobs (running jobs finish — their results are
      * cacheable even if nobody is left to read them).
      */
-    void clientGone(const std::string &client) override
-        EXCLUDES(mutex_);
+    void clientGone(const std::string &client) EXCLUDES(mutex_);
 
     /** The cache (exposed for tests and statsz). */
     const ResultCache &cache() const { return *cache_; }
 
     /** The chaos injector, or nullptr when chaos is off. */
-    fault::ServiceFaultInjector *chaosInjector() override
-    {
-        return chaos_.get();
-    }
+    fault::ServiceFaultInjector *chaosInjector() { return chaos_.get(); }
 
   private:
     struct JobRecord
@@ -173,21 +168,10 @@ class ServiceCore : public LineService
         EXCLUDES(mutex_);
     std::string handleCancel(const util::JsonValue &req)
         EXCLUDES(mutex_);
-    std::string handleCacheGet(const util::JsonValue &req)
-        EXCLUDES(mutex_);
     std::string handleStatsz() EXCLUDES(mutex_);
 
     /** ServiceCore's own statsz sections, under the lock. */
     util::JsonValue statszSnapshot() EXCLUDES(mutex_);
-
-    /**
-     * Ask each configured peer's cache for @p key (one hop: the
-     * remote cache_get answers from its ResultCache only). Returns
-     * the raw cached result bytes on the first hit. Runs off-lock —
-     * a slow or dead peer must not serialize the service.
-     */
-    std::optional<std::string> peerLookup(const std::string &key)
-        EXCLUDES(mutex_);
 
     /** Deterministic per-client retry jitter in [0, retryAfterMs). */
     std::uint64_t retryJitter(const std::string &client) const;
@@ -295,12 +279,6 @@ class ServiceCore : public LineService
     stats::Counter degraded_ GUARDED_BY(mutex_);
     /** Submits attached to an identical in-flight job. */
     stats::Counter coalesced_ GUARDED_BY(mutex_);
-    /** Peer cache_get requests this daemon answered. */
-    stats::Counter peer_probes_ GUARDED_BY(mutex_);
-    /** Local misses answered from a peer's cache. */
-    stats::Counter peer_hits_ GUARDED_BY(mutex_);
-    /** Peer lookups that found nothing (recompute follows). */
-    stats::Counter peer_misses_ GUARDED_BY(mutex_);
 
     /** Job service latency (admission to completion), milliseconds. */
     stats::Sampler latency_ms_ GUARDED_BY(mutex_);

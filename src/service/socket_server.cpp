@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "fault/service_faults.hpp"
+#include "service/server.hpp"
 #include "util/logging.hpp"
 #include "util/posix_error.hpp"
 
@@ -103,7 +104,7 @@ splitEndpointList(const std::string &list)
     return out;
 }
 
-SocketServer::SocketServer(LineService &core, std::string endpoint)
+SocketServer::SocketServer(ServiceCore &core, std::string endpoint)
     : core_(core), endpoint_(std::move(endpoint))
 {
 }

@@ -21,14 +21,15 @@
 #include <vector>
 
 #include "service/connection_registry.hpp"
-#include "service/line_service.hpp"
 
 namespace ringsim::service {
+
+class ServiceCore;
 
 class SocketServer
 {
   public:
-    SocketServer(LineService &core, std::string endpoint);
+    SocketServer(ServiceCore &core, std::string endpoint);
 
     /** Closes the listener and joins connection threads. */
     ~SocketServer();
@@ -60,7 +61,7 @@ class SocketServer
   private:
     void handleConnection(int fd, std::string client);
 
-    LineService &core_;
+    ServiceCore &core_;
     const std::string endpoint_;
     int listen_fd_ = -1;
     bool unix_path_bound_ = false;
@@ -81,8 +82,8 @@ class SocketServer
 
 /**
  * Split a comma-separated endpoint list ("tcp:7001,tcp:7002,..."),
- * dropping empty segments. Shared by --peers, --workers endpoint
- * lists and the multi-endpoint ringsim_submit form.
+ * dropping empty segments. Shared by ringsim_fleetd's --workers
+ * list and the multi-endpoint ringsim_submit form.
  */
 std::vector<std::string> splitEndpointList(const std::string &list);
 

@@ -15,9 +15,10 @@
  *
  * --service E1,E2,... targets a fleet of daemons directly, with
  * deterministic routing: a submit connects to the shard its job's
- * canonical cache key owns (the same shard function ringsim_fleetd
- * uses, so the CLI and a coordinator agree on placement), and fails
- * over along the key's failover order when that daemon is down.
+ * fleet::shardKey owns under $RINGSIM_CACHE_SALT (the same key and
+ * shard function ringsim_fleetd uses, so the CLI and a coordinator
+ * with the same salt agree on placement), and fails over along the
+ * key's failover order when that daemon is down.
  * Other commands try the endpoints in listed order. Job ids are
  * per-daemon — poll/cancel/stream a multi-endpoint id on the daemon
  * that answered the submit (printed as "endpoint").
@@ -38,8 +39,8 @@
 #include <vector>
 
 #include "fleet/shard.hpp"
-#include "service/cache_key.hpp"
 #include "service/client.hpp"
+#include "service/config.hpp"
 #include "service/job.hpp"
 #include "service/socket_server.hpp"
 #include "util/json.hpp"
@@ -180,8 +181,9 @@ cmdSubmit(const std::vector<std::string> &endpoints, int argc,
     if (no_degrade)
         job.set("degrade", util::JsonValue::boolean(false));
 
-    // Deterministic placement: route to the shard the job's
-    // canonical key owns, exactly as a fleet coordinator would, so a
+    // Deterministic placement: route to the shard the job's key
+    // owns, computed exactly as a fleet coordinator does (the same
+    // shardKey under the same $RINGSIM_CACHE_SALT default), so a
     // repeat submission from any client lands on the same daemon's
     // warm cache. An unparsable spec falls back to listed order and
     // lets the daemon produce the real diagnostic.
@@ -191,8 +193,8 @@ cmdSubmit(const std::vector<std::string> &endpoints, int argc,
         std::string spec_error;
         if (service::JobSpec::tryParse(job, true, &spec,
                                        &spec_error)) {
-            std::string key =
-                service::cacheKey(spec.canonical().dump(), "");
+            std::string key = fleet::shardKey(
+                spec, service::ServiceConfig::withEnvDefaults().salt);
             order = fleet::failoverOrder(key, endpoints.size());
         }
     }

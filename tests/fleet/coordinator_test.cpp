@@ -175,6 +175,16 @@ directText(const std::string &job_json)
     return text;
 }
 
+/** The member names of object @p v, in order. */
+std::vector<std::string>
+keysOf(const util::JsonValue &v)
+{
+    std::vector<std::string> keys;
+    for (const auto &member : v.members())
+        keys.push_back(member.first);
+    return keys;
+}
+
 std::string
 submitLine(const std::string &job_json, bool wait = true)
 {
@@ -564,6 +574,40 @@ TEST(Coordinator, StatszAggregatesWorkerSections)
     ASSERT_NE(totals, nullptr);
     EXPECT_EQ(totals->getU64("submitted", 0, &errors), 1u);
     EXPECT_EQ(totals->getU64("completed", 0, &errors), 1u);
+
+    // The schema (DESIGN.md §13.4), pinned key by key and in order:
+    // perfbench/run.py and scripts/fleet_smoke.sh read these names.
+    // A worker's statsz is a plain ServiceCore's; the coordinator's
+    // is the same with "workers" turned into the per-worker array and
+    // the executor's sections appended.
+    const std::vector<std::string> core_keys = {
+        "ok", "op", "workers", "queue_depth", "active", "running",
+        "submitted", "admitted", "shed", "completed", "failed",
+        "timed_out", "late_completions", "cache_answers",
+        "bad_requests", "cancelled", "deadline_expired", "degraded",
+        "coalesced", "cache", "latency"};
+    std::vector<std::string> coordinator_keys = core_keys;
+    for (const char *key : {"role", "fleet", "totals"})
+        coordinator_keys.push_back(key);
+    EXPECT_EQ(keysOf(stats), coordinator_keys);
+    EXPECT_EQ(keysOf(*fstats),
+              (std::vector<std::string>{"workers", "forwarded",
+                                        "coalesced", "requeues",
+                                        "sweep_splits",
+                                        "parts_forwarded",
+                                        "failures"}));
+    for (const util::JsonValue &w : workers->items()) {
+        EXPECT_EQ(keysOf(w), (std::vector<std::string>{
+                                 "endpoint", "alive", "forwards",
+                                 "failures", "sheds", "statsz"}));
+        EXPECT_EQ(keysOf(*w.find("statsz")), core_keys);
+    }
+    EXPECT_EQ(keysOf(*totals),
+              (std::vector<std::string>{
+                  "submitted", "admitted", "shed", "completed",
+                  "failed", "timed_out", "cache_answers", "cancelled",
+                  "degraded", "coalesced", "bad_requests",
+                  "late_completions", "deadline_expired"}));
 }
 
 } // namespace

@@ -15,6 +15,9 @@
 
 #include "src/fleet/fleet_config.hpp"
 #include "src/fleet/shard.hpp"
+#include "src/service/cache_key.hpp"
+#include "src/service/job.hpp"
+#include "src/util/json.hpp"
 
 namespace ringsim::fleet {
 namespace {
@@ -67,6 +70,35 @@ TEST(Shard, SpreadsKeysAcrossWorkers)
         touched.insert(
             shardIndex("canonical-spec-" + std::to_string(k), 4));
     EXPECT_EQ(touched.size(), 4u);
+}
+
+TEST(Shard, ShardKeyIsTheSaltedCacheKey)
+{
+    // Coordinator placement must not move: shardKey is exactly the
+    // cache key a daemon with that salt memoizes the spec under, so
+    // ringsim_fleetd (salt = its --salt) and ringsim_submit --service
+    // (salt = $RINGSIM_CACHE_SALT) agree whenever the salts match.
+    util::JsonValue job;
+    std::string error;
+    ASSERT_TRUE(util::tryParseJson(
+        "{\"type\":\"sweep\",\"figure\":\"fig3\",\"refs\":600,"
+        "\"fast\":true}",
+        &job, &error))
+        << error;
+    service::JobSpec spec;
+    ASSERT_TRUE(service::JobSpec::tryParse(job, true, &spec, &error))
+        << error;
+    for (const char *salt : {"", "fleet-a"}) {
+        EXPECT_EQ(shardKey(spec, salt),
+                  service::cacheKey(spec.canonical().dump(), salt));
+        // A sweep part's key is its own part spec's.
+        service::JobSpec part = spec;
+        part.sweepPart = 3;
+        EXPECT_EQ(shardKey(part, salt),
+                  service::cacheKey(part.canonical().dump(), salt));
+        EXPECT_NE(shardKey(part, salt), shardKey(spec, salt));
+    }
+    EXPECT_NE(shardKey(spec, ""), shardKey(spec, "fleet-a"));
 }
 
 TEST(FleetConfig, DefaultsNeedWorkers)

@@ -44,14 +44,25 @@ struct GoldenCase
 };
 
 std::string
-caseName(const ::testing::TestParamInfo<GoldenCase> &info)
+caseName(const GoldenCase &c)
 {
-    const GoldenCase &c = info.param;
     const char *proto =
         c.kind == core::ProtocolKind::RingSnoop ? "Snoop" : "Directory";
     return proto + std::to_string(c.procs) +
            (c.faults ? "FaultsOn" : "FaultsOff") +
            (c.warmup > 0 ? "WarmReset" : "ColdStart");
+}
+
+/**
+ * gtest prints a parameter into each test's GetParam() comment, which
+ * gtest_discover_tests copies into the ctest name. Without this, that
+ * is a byte dump of the struct, padding included, so the names would
+ * change whenever unrelated code changed the stack.
+ */
+void
+PrintTo(const GoldenCase &c, std::ostream *os)
+{
+    *os << caseName(c);
 }
 
 class GoldenEquivalence : public ::testing::TestWithParam<GoldenCase>
@@ -119,7 +130,10 @@ allCases()
 }
 
 INSTANTIATE_TEST_SUITE_P(SnoopAndDirectory, GoldenEquivalence,
-                         ::testing::ValuesIn(allCases()), caseName);
+                         ::testing::ValuesIn(allCases()),
+                         [](const auto &info) {
+                             return caseName(info.param);
+                         });
 
 } // namespace
 } // namespace ringsim

@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +60,16 @@ pollUntilSettled(ServiceCore &core, std::uint64_t id)
     }
     ADD_FAILURE() << "job " << id << " never settled";
     return util::JsonValue::null();
+}
+
+/** The member names of object @p v, in order. */
+std::vector<std::string>
+keysOf(const util::JsonValue &v)
+{
+    std::vector<std::string> keys;
+    for (const auto &member : v.members())
+        keys.push_back(member.first);
+    return keys;
 }
 
 TEST(ServiceCore, PingPongs)
@@ -140,6 +153,43 @@ TEST(ServiceCore, SecondSubmissionAnswersFromCache)
     EXPECT_EQ(first.find("result")->dump(),
               second.find("result")->dump());
     EXPECT_EQ(core.cache().stats().memHits, 1u);
+}
+
+TEST(ServiceCore, SharedCacheDirAnswersAcrossDaemons)
+{
+    // Two daemons on one --cache-dir: the one way a daemon answers
+    // from another daemon's results. The memory tiers are private,
+    // so the second daemon's hit proves the disk tier carried the
+    // first one's bytes.
+    std::string dir = testing::TempDir() + "/ringsim_shared_cache." +
+                      std::to_string(::getpid());
+    std::filesystem::remove_all(dir);
+    ServiceConfig cfg = testConfig();
+    cfg.cacheDir = dir;
+    ServiceCore first(cfg);
+    ServiceCore second(cfg);
+    const std::string submit =
+        "{\"op\":\"submit\",\"wait\":true,\"job\":"
+        "{\"type\":\"model\",\"benchmark\":\"water\",\"procs\":8,"
+        "\"refs\":2000,\"fast\":true}}";
+    util::JsonValue computed = parse(first.handleLine("c", submit));
+    util::JsonValue shared = parse(second.handleLine("c", submit));
+    std::vector<std::string> errors;
+    EXPECT_FALSE(computed.getBool("cached", true, &errors));
+    EXPECT_TRUE(shared.getBool("cached", false, &errors));
+    ASSERT_NE(computed.find("result"), nullptr);
+    ASSERT_NE(shared.find("result"), nullptr);
+    EXPECT_EQ(shared.find("result")->dump(),
+              computed.find("result")->dump());
+    EXPECT_EQ(second.cache().stats().diskHits, 1u);
+    EXPECT_EQ(second.cache().stats().memHits, 0u);
+
+    // The disk hit was promoted: the repeat is a memory hit.
+    util::JsonValue repeat = parse(second.handleLine("c", submit));
+    EXPECT_TRUE(repeat.getBool("cached", false, &errors));
+    EXPECT_EQ(second.cache().stats().memHits, 1u);
+    EXPECT_EQ(second.cache().stats().diskHits, 1u);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ServiceCore, SaltSeparatesCaches)
@@ -245,6 +295,40 @@ TEST(ServiceCore, StatszReportsTheFullSurface)
     // percentile only has to be present and non-negative.
     EXPECT_GE(lat->getNumber("p50_ms", -1, &errors), 0.0);
     EXPECT_TRUE(errors.empty());
+
+    // The schema (DESIGN.md §13.4), pinned key by key and in order:
+    // perfbench/run.py and the smoke scripts read these names.
+    const std::vector<std::string> top = {
+        "ok", "op", "workers", "queue_depth", "active", "running",
+        "submitted", "admitted", "shed", "completed", "failed",
+        "timed_out", "late_completions", "cache_answers",
+        "bad_requests", "cancelled", "deadline_expired", "degraded",
+        "coalesced", "cache", "latency"};
+    EXPECT_EQ(keysOf(sz), top);
+    const std::vector<std::string> cache = {
+        "mem_hits", "disk_hits", "misses", "stores", "evictions",
+        "disk_errors", "quarantined", "scanned", "tmp_cleaned"};
+    EXPECT_EQ(keysOf(*sz.find("cache")), cache);
+    EXPECT_EQ(keysOf(*lat),
+              (std::vector<std::string>{"count", "mean_ms", "min_ms",
+                                        "max_ms", "p50_ms", "p90_ms",
+                                        "p99_ms"}));
+
+    // With chaos on, a "chaos" section follows "cache" and nothing
+    // else changes.
+    ServiceConfig chaotic = testConfig();
+    chaotic.chaos = fault::ServiceFaultConfig::chaosPreset(5);
+    ServiceCore chaos_core(chaotic);
+    util::JsonValue csz =
+        parse(chaos_core.handleLine("c", "{\"op\":\"statsz\"}"));
+    std::vector<std::string> with_chaos = top;
+    with_chaos.insert(with_chaos.end() - 1, "chaos");
+    EXPECT_EQ(keysOf(csz), with_chaos);
+    ASSERT_NE(csz.find("chaos"), nullptr);
+    EXPECT_EQ(keysOf(*csz.find("chaos")),
+              (std::vector<std::string>{"seed", "slow_writes",
+                                        "disconnects", "garbles",
+                                        "torn_writes", "bit_flips"}));
 }
 
 TEST(ServiceCore, PollUnknownIdIsAnError)
