@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for job parsing, canonicalization and validation.
+ * Unit tests for job parsing, canonicalization and validation, and
+ * known-value pins of one result per job kind.
  */
 
 #include <gtest/gtest.h>
@@ -239,6 +240,59 @@ TEST(JobExecute, RunIsDeterministic)
         << error;
     // Byte-identical re-execution is what makes memoization legal.
     EXPECT_EQ(executeJob(spec, 1).dump(), executeJob(spec, 1).dump());
+}
+
+// Absolute pins of one result per job kind. The cache promises "same
+// spec, same bytes"; these tie that promise to fixed values, so a
+// change that moves both a cached and a fresh result alike still
+// fails here. The run result carries full-precision doubles that the
+// paper tables round away. A change that means to move these bytes
+// updates them and says why in CHANGES.md.
+std::string
+executeDump(const std::string &text)
+{
+    JobSpec spec;
+    std::string error;
+    EXPECT_TRUE(tryParseJob(text, &spec, &error)) << error;
+    return executeJob(spec, 1).dump();
+}
+
+TEST(JobGolden, RunResultBytes)
+{
+    EXPECT_EQ(
+        executeDump("{\"type\":\"run\",\"benchmark\":\"mp3d\","
+                    "\"procs\":16,\"protocol\":\"snoop\","
+                    "\"refs\":12000,\"fast\":true}"),
+        R"({"kind":"run","protocol":"ring-snoop","workload":"MP3D 16",)"
+        R"("proc_util":0.33091762623925614,"net_util":0.4352834869469499,)"
+        R"("miss_lat_ns":334.76499999999999,)"
+        R"("miss_lat_all_ns":169.74799999999999,)"
+        R"("upgrade_lat_ns":154.29499999999999,)"
+        R"("acquire_wait_ns":41.688903404915244,"window":365202000,)"
+        R"("local_misses":20598,"clean_miss1":738,"dirty_miss1":618,)"
+        R"("miss2":0,"upgrades":1184,"faults_injected":0,"retries":0,)"
+        R"("recovered":0,"fatal_txns":0,"nacks":0,"timeouts":0})");
+}
+
+TEST(JobGolden, ModelResultBytes)
+{
+    EXPECT_EQ(
+        executeDump("{\"type\":\"model\",\"benchmark\":\"mp3d\","
+                    "\"procs\":16,\"protocol\":\"directory\","
+                    "\"cycle_ns\":20,\"refs\":12000,\"fast\":true}"),
+        R"({"kind":"model","workload":"MP3D 16","protocol":"directory",)"
+        R"("cycle_ns":20,"proc_util":0.30367858218387284,)"
+        R"("net_util":0.059822873079614702,)"
+        R"("miss_lat_ns":340.66705022488213})");
+}
+
+TEST(JobGolden, SweepPartResultBytes)
+{
+    EXPECT_EQ(
+        executeDump("{\"type\":\"sweep\",\"figure\":\"fig3\","
+                    "\"part\":10,\"refs\":12000,\"fast\":true}"),
+        R"({"kind":"sweep_part","figure":"fig3","part":10,"rows":)"
+        R"([["MP3D 32","snooping","sim","20","17.6","53.4","529"]]})");
 }
 
 } // namespace
