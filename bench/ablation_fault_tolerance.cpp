@@ -15,8 +15,10 @@
  * subsystem; the fault schedule is a pure function of --fault-seed, so
  * the whole table is independent of --jobs.
  *
- * Uses the hardened runner: a sweep point that fails or hangs marks
- * its own row instead of killing the sweep.
+ * Each sweep point catches its own exception: a point that throws
+ * prints a "failed" row, its error goes to stderr, and the bench exits
+ * 1 once the whole table is out. No point can hang: the fault
+ * subsystem bounds every recovery in simulated time.
  */
 
 #include <functional>
@@ -53,16 +55,34 @@ runRing(const Variant &v, const bench::Options &opt)
     return core::runRingSystem(cfg, v.wl, v.kind);
 }
 
-void
-addRow(TextTable &table, const Variant &v, const core::RunResult &r,
-       const runner::JobReport &rep)
+/** One sweep point's outcome; a non-empty error marks it failed. */
+struct Point
 {
-    if (rep.status != runner::JobReport::Status::Ok) {
-        table.addRow({v.wl.displayName(), v.label,
-                      runner::jobStatusName(rep.status), "-", "-", "-",
-                      "-", "-", "-", "-"});
+    core::RunResult result;
+    std::string error;
+};
+
+Point
+runPoint(const Variant &v, const bench::Options &opt)
+{
+    Point p;
+    try {
+        p.result = runRing(v, opt);
+    } catch (const std::exception &e) {
+        p.error = e.what();
+    }
+    return p;
+}
+
+void
+addRow(TextTable &table, const Variant &v, const Point &p)
+{
+    if (!p.error.empty()) {
+        table.addRow({v.wl.displayName(), v.label, "failed", "-", "-",
+                      "-", "-", "-", "-", "-"});
         return;
     }
+    const core::RunResult &r = p.result;
     table.addRow({v.wl.displayName(), v.label,
                   fmtPercent(r.procUtilization, 1),
                   fmtPercent(r.networkUtilization, 1),
@@ -105,25 +125,24 @@ main(int argc, char **argv)
                             0.0, 1e-4, kind});
     }
 
-    std::vector<std::function<core::RunResult()>> tasks;
+    std::vector<std::function<Point()>> tasks;
     for (const Variant &v : variants)
-        tasks.push_back([&v, &opt]() { return runRing(v, opt); });
+        tasks.push_back([&v, &opt]() { return runPoint(v, opt); });
+    std::vector<Point> points = runner::runAll(std::move(tasks), opt.jobs);
 
-    runner::RunPolicy policy;
-    policy.jobTimeout =
-        runner::watchdogBudget(std::chrono::minutes(10));
-    policy.maxAttempts = 2;
-    runner::SweepResult<core::RunResult> sweep =
-        runner::runSweep(std::move(tasks), opt.jobs, policy);
-
-    for (std::size_t i = 0; i < variants.size(); ++i)
-        addRow(table, variants[i], sweep.results[i], sweep.reports[i]);
+    bool all_ok = true;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        addRow(table, variants[i], points[i]);
+        if (!points[i].error.empty()) {
+            std::cerr << variants[i].label << ": " << points[i].error
+                      << "\n";
+            all_ok = false;
+        }
+    }
 
     bench::emit(opt,
                 "Fault-tolerance ablation (injected corruption, drops, "
                 "stalls)",
                 table);
-    if (!sweep.allOk())
-        std::cerr << sweep.failureSummaryJson() << "\n";
-    return sweep.allOk() ? 0 : 1;
+    return all_ok ? 0 : 1;
 }

@@ -21,9 +21,11 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "util/json.hpp"
+#include "util/logging.hpp"
 
 namespace {
 
@@ -48,10 +50,10 @@ class RateCapturingReporter : public benchmark::ConsoleReporter
 };
 
 /**
- * Top-level "name": rate entries of a previously written
+ * Top-level "name": rate members of a previously written
  * BENCH_ring.json (nested blocks such as saturated_multiplier are
- * skipped by depth tracking). Empty map if the file is absent — the
- * format is exactly what main() below emits, nothing more general.
+ * not rates and are skipped). Empty map if the file is absent; an
+ * unparsable file warns and reads as empty too.
  */
 std::map<std::string, double>
 readBaseline(const char *path)
@@ -60,26 +62,19 @@ readBaseline(const char *path)
     std::ifstream in(path);
     if (!in)
         return rates;
-    int depth = 0;
-    std::string line;
-    while (std::getline(in, line)) {
-        long opens = 0;
-        long closes = 0;
-        for (char ch : line) {
-            if (ch == '{')
-                ++opens;
-            if (ch == '}')
-                ++closes;
-        }
-        if (depth == 1) {
-            char name[256];
-            double value = 0;
-            if (std::sscanf(line.c_str(), " \"%255[^\"]\": %lf", name,
-                            &value) == 2)
-                rates[name] = value;
-        }
-        depth += opens - closes;
+    std::ostringstream text;
+    text << in.rdbuf();
+    ringsim::util::JsonValue doc;
+    std::string error = "not a JSON object";
+    if (!ringsim::util::tryParseJson(text.str(), &doc, &error) ||
+        !doc.isObject()) {
+        ringsim::warn("%s: unreadable baseline (%s); ignoring it", path,
+                      error.c_str());
+        return rates;
     }
+    for (const auto &[name, value] : doc.members())
+        if (value.isNumber())
+            rates[name] = value.asNumber();
     return rates;
 }
 

@@ -37,14 +37,16 @@ Rules (suppress a finding with a trailing `// lint: allow(<rule>)`):
       trailing allow.
 
   naked-thread
-      No std::thread construction (and no .detach()) outside the two
-      sanctioned thread owners: the runner's worker pool
+      No std::thread construction outside the two sanctioned thread
+      owners: the runner's worker pool
       (src/runner/experiment_runner.cpp) and the service's
       ConnectionRegistry (src/service/connection_registry.*). Ad-hoc
       threads are how join-leaks and shutdown races get in; new
       concurrency goes through one of those wrappers, which carry the
       thread-safety annotations and the tests.
       (std::thread::hardware_concurrency() is fine anywhere.)
+      No .detach() anywhere, the two owners included: a detached
+      thread outlives its owner, so every thread is joined.
 
   unguarded-mutex
       Every core::Mutex / std::mutex member must have at least one
@@ -81,8 +83,6 @@ THREAD_ALLOWED_FILES = {
     "src/service/connection_registry.hpp",
     "src/service/connection_registry.cpp",
 }
-# Abandoning a doomed worker is the runner watchdog's one detach site.
-DETACH_ALLOWED_FILES = {"src/runner/experiment_runner.cpp"}
 
 # The annotated wrappers themselves must touch the raw mutex.
 MUTEX_WRAPPER_FILES = {"src/core/thread_annotations.hpp"}
@@ -238,13 +238,12 @@ def check_file(path):
                 flag("naked-thread", rel, lineno,
                      "naked std::thread: use ExperimentRunner's pool "
                      "or service::ConnectionRegistry")
-    if rel not in DETACH_ALLOWED_FILES:
-        for lineno, line in enumerate(clean_lines, 1):
-            if DETACH_RE.search(line) and not allowed(
-                    raw_lines, lineno, "naked-thread"):
-                flag("naked-thread", rel, lineno,
-                     ".detach(): detached threads outlive their "
-                     "owner; join through a registry instead")
+    for lineno, line in enumerate(clean_lines, 1):
+        if DETACH_RE.search(line) and not allowed(
+                raw_lines, lineno, "naked-thread"):
+            flag("naked-thread", rel, lineno,
+                 ".detach(): detached threads outlive their "
+                 "owner; join through a registry instead")
 
     # unguarded-mutex (a mutex must guard annotated data)
     if rel not in MUTEX_WRAPPER_FILES:

@@ -18,11 +18,11 @@
  * jobs execute inline on the caller's thread, no worker threads are
  * created.
  *
- * Hardened sweeps: runSweep() adds per-job wall-clock watchdogs,
- * failure isolation (a throwing or hung job marks its own slot failed
- * instead of killing the sweep), deterministic retry passes, and a
- * machine-readable failure summary. The legacy runAll()/wait() path
- * keeps its fail-fast rethrow semantics.
+ * The pool is deliberately plain: no per-job timeout and no retry.
+ * Jobs are seeded, so a retry would fail the same way, and the fault
+ * subsystem ends every faulted transaction in simulated time (DESIGN
+ * §10). A sweep that wants a failed point to mark its own row instead
+ * of aborting catches the exception inside its task.
  */
 
 #ifndef RINGSIM_RUNNER_EXPERIMENT_RUNNER_HPP
@@ -32,8 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 namespace ringsim::runner {
@@ -59,74 +57,21 @@ std::uint64_t jobSeed(std::uint64_t master_seed, std::uint64_t job_key);
 /**
  * Watchdog budget resolution: $RINGSIM_WATCHDOG_MS if set (zero
  * disables the watchdog), otherwise @p fallback_ms. Lets operators
- * widen or disable per-job watchdogs on loaded machines where a
- * healthy sweep point can exceed a default budget — service jobs
- * and the hardened benches resolve their timeouts through this.
+ * widen or disable the service's per-job watchdog on loaded machines
+ * where a healthy sweep point can exceed the default budget.
  */
 std::chrono::milliseconds
 watchdogBudget(std::chrono::milliseconds fallback_ms);
 
-/** Failure-handling policy of a hardened run. */
-struct RunPolicy
-{
-    /**
-     * Wall-clock budget of one job attempt; zero disables the
-     * watchdog. Only enforced when worker threads exist (a serial
-     * jobs=1 run executes inline and cannot be interrupted).
-     */
-    std::chrono::milliseconds jobTimeout{0};
-
-    /** Total attempts per job (>= 1); retries run in later passes. */
-    unsigned maxAttempts = 1;
-
-    /**
-     * All misconfigurations, as human-readable "field = value"
-     * messages (empty when the policy is sound).
-     */
-    [[nodiscard]] std::vector<std::string> check() const;
-};
-
-/** Outcome of one job slot. */
-struct JobReport
-{
-    enum class Status {
-        Ok,       //!< finished normally
-        Failed,   //!< threw an exception
-        TimedOut, //!< exceeded the per-job wall-clock budget
-    };
-
-    std::size_t index = 0; //!< submission index
-    Status status = Status::Ok;
-    std::string error;     //!< exception text / timeout note
-    unsigned attempts = 1; //!< attempts consumed across retry passes
-    double seconds = 0;    //!< wall clock of the last attempt
-};
-
-/** Printable status name ("ok", "failed", "timed_out"). */
-const char *jobStatusName(JobReport::Status s);
-
 /**
- * Render the failed slots of @p reports as a machine-readable JSON
- * object: {"jobs": N, "failed": K, "failures": [{"index": ...,
- * "status": ..., "attempts": ..., "seconds": ..., "error": ...}]}.
- */
-std::string failureSummaryJson(const std::vector<JobReport> &reports);
-
-/**
- * A fixed-size thread pool that runs void() jobs, remembers the first
- * exception in submission order, and — when a RunPolicy with a
- * timeout is supplied — dooms workers whose job exceeds its budget
- * (the stuck thread is detached and replaced; its slot reports
- * TimedOut and the pool keeps draining the queue).
+ * A fixed-size thread pool that runs void() jobs and remembers the
+ * first exception in submission order.
  */
 class ExperimentRunner
 {
   public:
     /** @param jobs worker threads; 0 → defaultJobs(), 1 → inline. */
     explicit ExperimentRunner(unsigned jobs = 0);
-
-    /** Hardened pool with the given failure policy. */
-    ExperimentRunner(unsigned jobs, const RunPolicy &policy);
 
     /** Waits for all submitted jobs, then joins the workers. */
     ~ExperimentRunner();
@@ -139,30 +84,27 @@ class ExperimentRunner
 
     /**
      * Enqueue a job; returns its submission index. With jobs() == 1
-     * the job runs inline before submit() returns.
+     * the job runs inline, on the submitting thread, before submit()
+     * returns.
      */
     std::size_t submit(std::function<void()> job);
 
     /**
-     * Block until every submitted job has finished. If any job threw
-     * or timed out, rethrows the exception of the earliest-submitted
-     * failing job (fail-fast legacy semantics).
+     * Block until every submitted job has finished. If any job threw,
+     * rethrows the exception of the earliest-submitted failing job
+     * (fail-fast semantics) and forgets it.
      */
     void wait();
 
     /**
-     * Block until every submitted job has finished (or was declared
-     * timed out). Never throws on job failure — inspect reports().
+     * Block until every submitted job has finished. Never throws on
+     * job failure; a later wait() still rethrows the earliest one.
      */
     void waitAll();
 
-    /** Per-job outcomes, indexed by submission order (after waitAll). */
-    std::vector<JobReport> reports() const;
-
   private:
     struct Impl;
-    /** Shared so doomed (detached) workers can outlive the pool. */
-    std::shared_ptr<Impl> impl_;
+    std::unique_ptr<Impl> impl_;
 };
 
 /**
@@ -186,97 +128,6 @@ runAll(std::vector<std::function<R()>> tasks, unsigned jobs = 0)
     }
     pool.wait();
     return results;
-}
-
-/** What a hardened sweep produced. */
-template <typename R>
-struct SweepResult
-{
-    /** Results in task order; failed slots keep a default R. */
-    std::vector<R> results;
-
-    /** Per-slot outcomes in task order. */
-    std::vector<JobReport> reports;
-
-    std::size_t failures() const
-    {
-        std::size_t n = 0;
-        for (const JobReport &r : reports)
-            if (r.status != JobReport::Status::Ok)
-                ++n;
-        return n;
-    }
-
-    bool allOk() const { return failures() == 0; }
-
-    /** Machine-readable summary of the failed slots. */
-    std::string failureSummaryJson() const
-    {
-        return runner::failureSummaryJson(reports);
-    }
-};
-
-/**
- * Hardened fan-out: run every task under @p policy, isolating
- * failures to their own slot and retrying failed/timed-out slots in
- * deterministic later passes (each retry pass uses a fresh pool, so a
- * pass that doomed workers leaves no stale threads behind).
- *
- * Tasks must be safe to call again on retry, and — because a doomed
- * attempt's thread cannot be interrupted, only abandoned — safe to
- * run concurrently with their own earlier hung attempt. Each attempt
- * writes into its own heap-allocated cell; only the successful
- * attempt's cell is moved into the result slot, so a hung attempt
- * that eventually finishes mutates nothing the caller sees.
- */
-template <typename R>
-SweepResult<R>
-runSweep(std::vector<std::function<R()>> tasks, unsigned jobs = 0,
-         const RunPolicy &policy = {})
-{
-    const std::size_t n = tasks.size();
-    SweepResult<R> sweep;
-    sweep.results.resize(n);
-    sweep.reports.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        sweep.reports[i].index = i;
-
-    std::vector<std::size_t> pending(n);
-    for (std::size_t i = 0; i < n; ++i)
-        pending[i] = i;
-
-    const unsigned max_attempts = policy.maxAttempts ? policy.maxAttempts
-                                                     : 1;
-    for (unsigned attempt = 1;
-         attempt <= max_attempts && !pending.empty(); ++attempt) {
-        ExperimentRunner pool(jobs, policy);
-        std::vector<std::shared_ptr<R>> cells;
-        cells.reserve(pending.size());
-        for (std::size_t i : pending) {
-            auto cell = std::make_shared<R>();
-            cells.push_back(cell);
-            std::function<R()> &task = tasks[i];
-            pool.submit([cell, &task]() { *cell = task(); });
-        }
-        pool.waitAll();
-        std::vector<JobReport> pass = pool.reports();
-
-        std::vector<std::size_t> still_failing;
-        for (std::size_t k = 0; k < pending.size(); ++k) {
-            std::size_t i = pending[k];
-            JobReport &rep = sweep.reports[i];
-            rep.status = pass[k].status;
-            rep.error = pass[k].error;
-            rep.seconds = pass[k].seconds;
-            rep.attempts = attempt;
-            if (pass[k].status == JobReport::Status::Ok)
-                sweep.results[i] = std::move(*cells[k]);
-            else
-                still_failing.push_back(i);
-        }
-        pending = std::move(still_failing);
-    }
-    return sweep;
 }
 
 } // namespace ringsim::runner

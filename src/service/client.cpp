@@ -144,34 +144,6 @@ ServiceClient::tryRequest(const std::string &line,
 }
 
 bool
-ServiceClient::tryCall(const util::JsonValue &request,
-                       util::JsonValue *response, std::string *error)
-{
-    std::string line;
-    if (!tryRequest(request.dump(), &line, error))
-        return false;
-    if (!util::tryParseJson(line, response, error)) {
-        *error = "unparsable response: " + *error;
-        return false;
-    }
-    std::vector<std::string> errors;
-    if (!response->getBool("ok", false, &errors)) {
-        std::string msg =
-            response->getString("error", "request failed", &errors);
-        if (const util::JsonValue *ra =
-                response->find("retry_after_ms")) {
-            if (ra->isNumber())
-                msg += strprintf(" (retry after %llu ms)",
-                                 static_cast<unsigned long long>(
-                                     ra->asU64()));
-        }
-        *error = msg;
-        return false;
-    }
-    return true;
-}
-
-bool
 ServiceClient::tryCallResilient(const util::JsonValue &request,
                                 util::JsonValue *response,
                                 std::string *error, unsigned attempts)

@@ -46,22 +46,14 @@ class ServiceClient
                                   std::string *error);
 
     /**
-     * tryRequest + parse. False + @p error on transport or JSON
-     * failure, or when the response says {"ok":false} (the server's
-     * "error" member, and any retry_after_ms hint, become @p error).
-     */
-    [[nodiscard]] bool tryCall(const util::JsonValue &request,
-                               util::JsonValue *response,
-                               std::string *error);
-
-    /**
-     * tryCall that survives a chaotic daemon: a dropped connection,
-     * a garbled (unparsable) response line, or an overload shed is
-     * retried up to @p attempts times — reconnecting as needed and
-     * honoring the server's retry_after_ms hint. Legal for every
-     * current op because requests are idempotent: a submit replayed
-     * after a lost response re-answers from the memo cache.
-     * Non-transient {"ok":false} errors fail immediately.
+     * tryRequest + parse, surviving a chaotic daemon: a dropped
+     * connection, a garbled (unparsable) response line, or an
+     * overload shed is retried up to @p attempts times — reconnecting
+     * as needed and honoring the server's retry_after_ms hint. Legal
+     * for every current op because requests are idempotent: a submit
+     * replayed after a lost response re-answers from the memo cache.
+     * Non-transient {"ok":false} errors fail immediately, with the
+     * server's "error" member as @p error.
      */
     [[nodiscard]] bool tryCallResilient(const util::JsonValue &request,
                                         util::JsonValue *response,

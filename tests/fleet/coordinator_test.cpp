@@ -137,10 +137,15 @@ class Fleet
         return parse(core_->handleLine("test-client", line));
     }
 
-    /** One request straight to worker @p i, bypassing the coordinator. */
+    /**
+     * One request straight to worker @p i, bypassing the coordinator.
+     * The connection stays open as long as the fleet: closing it
+     * would cancel the job if no executor had picked it up yet
+     * (ServiceCore::clientGone), which unpins a pinned worker.
+     */
     util::JsonValue requestWorker(std::size_t i, const std::string &line)
     {
-        service::ServiceClient client;
+        service::ServiceClient &client = workerClients_.emplace_back();
         std::string error, response;
         EXPECT_TRUE(client.tryConnect(workers_[i]->endpoint(), &error))
             << error;
@@ -156,6 +161,8 @@ class Fleet
   private:
     std::vector<std::unique_ptr<WorkerDaemon>> workers_;
     std::unique_ptr<service::ServiceCore> core_;
+    /** requestWorker()'s connections; closed before the workers stop. */
+    std::vector<service::ServiceClient> workerClients_;
 };
 
 /** The reference run: same job executed directly, no fleet. */

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -112,12 +111,26 @@ TEST(ExperimentRunner, ResultsIndexedBySubmissionOrder)
 
 TEST(ExperimentRunner, AllJobsRunExactlyOnce)
 {
+    // One job throws. waitAll() (what ~ServiceCore relies on) must
+    // still see all 100 through without throwing; the failure stays
+    // for wait() to rethrow.
     std::atomic<int> ran{0};
     ExperimentRunner pool(4);
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&ran]() { ran.fetch_add(1); });
-    pool.wait();
+    for (int i = 0; i < 100; ++i) {
+        pool.submit([&ran, i]() {
+            ran.fetch_add(1);
+            if (i == 37)
+                throw std::runtime_error("job 37 failed");
+        });
+    }
+    EXPECT_NO_THROW(pool.waitAll());
     EXPECT_EQ(ran.load(), 100);
+    try {
+        pool.wait();
+        FAIL() << "expected wait() to rethrow the job's exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "job 37 failed");
+    }
 }
 
 TEST(ExperimentRunner, PropagatesEarliestException)
@@ -146,123 +159,6 @@ TEST(ExperimentRunner, ExceptionInSerialMode)
         throw std::runtime_error("serial failure");
     });
     EXPECT_THROW(runAll(std::move(tasks), 1), std::runtime_error);
-}
-
-TEST(HardenedRunner, StatusNamesArePrintable)
-{
-    EXPECT_STREQ(jobStatusName(JobReport::Status::Ok), "ok");
-    EXPECT_STREQ(jobStatusName(JobReport::Status::Failed), "failed");
-    EXPECT_STREQ(jobStatusName(JobReport::Status::TimedOut),
-                 "timed_out");
-}
-
-TEST(HardenedRunner, WatchdogTimesOutHungJobInIsolation)
-{
-    RunPolicy policy;
-    policy.jobTimeout = std::chrono::milliseconds(200);
-    // The hung job spins on a shared flag so the abandoned (detached)
-    // thread can be released once the assertions are done.
-    auto release = std::make_shared<std::atomic<bool>>(false);
-    std::atomic<int> finished{0};
-
-    ExperimentRunner pool(2, policy);
-    pool.submit([release]() {
-        while (!release->load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    });
-    for (int i = 0; i < 4; ++i)
-        pool.submit([&finished]() { finished.fetch_add(1); });
-    pool.waitAll();
-    std::vector<JobReport> reports = pool.reports();
-    release->store(true);
-
-    ASSERT_EQ(reports.size(), 5u);
-    EXPECT_EQ(reports[0].status, JobReport::Status::TimedOut);
-    EXPECT_NE(reports[0].error.find("timed out"), std::string::npos)
-        << reports[0].error;
-    for (std::size_t i = 1; i < reports.size(); ++i)
-        EXPECT_EQ(reports[i].status, JobReport::Status::Ok)
-            << "job " << i << " must complete despite the hung job";
-    EXPECT_EQ(finished.load(), 4);
-}
-
-TEST(HardenedRunner, TimedOutJobStillThrowsFromLegacyWait)
-{
-    RunPolicy policy;
-    policy.jobTimeout = std::chrono::milliseconds(100);
-    auto release = std::make_shared<std::atomic<bool>>(false);
-    ExperimentRunner pool(2, policy);
-    pool.submit([release]() {
-        while (!release->load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    release->store(true);
-}
-
-TEST(HardenedRunner, SweepRetriesTransientFailure)
-{
-    auto tries = std::make_shared<std::atomic<int>>(0);
-    std::vector<std::function<int()>> tasks;
-    tasks.push_back([]() { return 7; });
-    tasks.push_back([tries]() -> int {
-        if (tries->fetch_add(1) == 0)
-            throw std::runtime_error("transient");
-        return 42;
-    });
-    RunPolicy policy;
-    policy.maxAttempts = 2;
-    SweepResult<int> sweep = runSweep(std::move(tasks), 2, policy);
-    EXPECT_TRUE(sweep.allOk()) << sweep.failureSummaryJson();
-    EXPECT_EQ(sweep.results[0], 7);
-    EXPECT_EQ(sweep.results[1], 42);
-    EXPECT_EQ(sweep.reports[0].attempts, 1u);
-    EXPECT_EQ(sweep.reports[1].attempts, 2u);
-}
-
-TEST(HardenedRunner, SweepIsolatesPermanentFailure)
-{
-    std::vector<std::function<int()>> tasks;
-    tasks.push_back([]() { return 1; });
-    tasks.push_back(
-        []() -> int { throw std::runtime_error("doomed point"); });
-    tasks.push_back([]() { return 3; });
-    SweepResult<int> sweep = runSweep(std::move(tasks), 2);
-    EXPECT_FALSE(sweep.allOk());
-    EXPECT_EQ(sweep.failures(), 1u);
-    EXPECT_EQ(sweep.results[0], 1);
-    EXPECT_EQ(sweep.results[2], 3);
-    EXPECT_EQ(sweep.reports[1].status, JobReport::Status::Failed);
-    EXPECT_NE(sweep.reports[1].error.find("doomed point"),
-              std::string::npos);
-
-    std::string json = sweep.failureSummaryJson();
-    EXPECT_NE(json.find("\"jobs\": 3"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"failed\": 1"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"index\": 1"), std::string::npos) << json;
-    EXPECT_NE(json.find("doomed point"), std::string::npos) << json;
-}
-
-TEST(HardenedRunner, SerialSweepRecordsFailuresToo)
-{
-    std::vector<std::function<int()>> tasks;
-    tasks.push_back(
-        []() -> int { throw std::runtime_error("serial boom"); });
-    tasks.push_back([]() { return 5; });
-    SweepResult<int> sweep = runSweep(std::move(tasks), 1);
-    EXPECT_EQ(sweep.failures(), 1u);
-    EXPECT_EQ(sweep.reports[0].status, JobReport::Status::Failed);
-    EXPECT_EQ(sweep.results[1], 5);
-}
-
-TEST(HardenedRunner, EmptySummaryForCleanSweep)
-{
-    std::vector<std::function<int()>> tasks;
-    tasks.push_back([]() { return 9; });
-    SweepResult<int> sweep = runSweep(std::move(tasks), 2);
-    EXPECT_TRUE(sweep.allOk());
-    std::string json = sweep.failureSummaryJson();
-    EXPECT_NE(json.find("\"failed\": 0"), std::string::npos) << json;
 }
 
 /** Format a model evaluation the way the figure benches do, so the

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for watchdog-budget resolution and RunPolicy validation.
+ * Unit tests for watchdog-budget resolution.
  */
 
 #include <gtest/gtest.h>
@@ -45,34 +45,6 @@ TEST_F(WatchdogEnvTest, ZeroEnvDisablesWatchdog)
     // fall back to the default budget.
     ::setenv("RINGSIM_WATCHDOG_MS", "0", 1);
     EXPECT_EQ(watchdogBudget(milliseconds(1234)), milliseconds(0));
-}
-
-TEST(RunPolicyCheck, SoundPolicyIsClean)
-{
-    RunPolicy policy;
-    policy.jobTimeout = milliseconds(1000);
-    policy.maxAttempts = 3;
-    EXPECT_TRUE(policy.check().empty());
-}
-
-TEST(RunPolicyCheck, ZeroAttemptsNamed)
-{
-    RunPolicy policy;
-    policy.maxAttempts = 0;
-    auto errors = policy.check();
-    ASSERT_FALSE(errors.empty());
-    EXPECT_NE(errors[0].find("maxAttempts = 0"), std::string::npos)
-        << errors[0];
-}
-
-TEST(RunPolicyCheck, NegativeTimeoutNamed)
-{
-    RunPolicy policy;
-    policy.jobTimeout = milliseconds(-5);
-    auto errors = policy.check();
-    ASSERT_FALSE(errors.empty());
-    EXPECT_NE(errors[0].find("jobTimeout"), std::string::npos)
-        << errors[0];
 }
 
 } // namespace

@@ -145,16 +145,20 @@ TEST(SocketRoundtrip, MultipleRequestsOnOneConnection)
     }
 }
 
-TEST(SocketRoundtrip, TryCallSurfacesServerErrors)
+TEST(SocketRoundtrip, CallSurfacesServerErrors)
 {
+    // A non-transient {"ok":false} is not retried: the call fails at
+    // once with the server's own error text and keeps the connection.
     LiveService svc(testConfig());
     ServiceClient client = connect(svc.endpoint());
     util::JsonValue req = util::JsonValue::object();
     req.set("op", util::JsonValue::string("warp"));
     util::JsonValue response;
     std::string error;
-    EXPECT_FALSE(client.tryCall(req, &response, &error));
+    EXPECT_FALSE(client.tryCallResilient(req, &response, &error));
     EXPECT_NE(error.find("warp"), std::string::npos) << error;
+    EXPECT_EQ(error.find("gave up"), std::string::npos) << error;
+    EXPECT_TRUE(client.connected());
 }
 
 TEST(SocketRoundtrip, ConnectToMissingSocketFails)
@@ -271,7 +275,8 @@ TEST(SocketRoundtrip, SweepMatchesDirectRender)
     std::string error;
     ASSERT_TRUE(util::tryParseJson(submit, &req, &error));
     util::JsonValue response;
-    ASSERT_TRUE(client.tryCall(req, &response, &error)) << error;
+    ASSERT_TRUE(client.tryCallResilient(req, &response, &error))
+        << error;
     const util::JsonValue *result = response.find("result");
     ASSERT_NE(result, nullptr);
     const util::JsonValue *text = result->find("text");
