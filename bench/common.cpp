@@ -12,8 +12,7 @@ namespace ringsim::bench {
 void
 Options::apply(trace::WorkloadConfig &cfg) const
 {
-    cfg.dataRefsPerProc = fast ? refs / 4 : refs;
-    cfg.seed = seed;
+    figureOptions().apply(cfg);
 }
 
 figures::FigureOptions

@@ -57,7 +57,7 @@ struct Options
      */
     std::string service;
 
-    /** Apply refs/seed to a workload preset. */
+    /** Apply refs/seed/fast to a workload preset (as FigureOptions). */
     void apply(trace::WorkloadConfig &cfg) const;
 
     /** The figure-library view of these options. */

@@ -5,9 +5,9 @@
  * average miss latency vs processor cycle time, for MP3D, WATER and
  * CHOLESKY at 8, 16 and 32 processors.
  *
- * The sweep itself lives in figures::buildFigure (shared with the
- * experiment service); this binary parses flags and prints. Pass
- * --service ENDPOINT to route the sweep through a ringsim_serve
+ * The sweep definition is in src/figures/ (FigureId::Fig3, shared
+ * with the experiment service); this binary parses flags and prints.
+ * Pass --service ENDPOINT to route the sweep through a ringsim_serve
  * daemon — the output bytes are identical either way.
  */
 

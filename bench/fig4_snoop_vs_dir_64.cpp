@@ -4,7 +4,7 @@
  * 32-bit slotted ring for the 64-processor workloads FFT, WEATHER and
  * SIMPLE.
  *
- * The sweep definition is figures::buildFigure(Fig4); --service
+ * The sweep definition is in src/figures/ (FigureId::Fig4); --service
  * routes it through a ringsim_serve daemon with identical output.
  */
 

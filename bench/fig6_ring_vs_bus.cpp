@@ -12,7 +12,7 @@
  * their latencies stay stable. CHOLESKY behaves like MP3D (the paper
  * omits it for space; pass --cholesky to include it here).
  *
- * The sweep definition is figures::buildFigure(Fig6); --service
+ * The sweep definition is in src/figures/ (FigureId::Fig6); --service
  * routes it through a ringsim_serve daemon with identical output.
  */
 

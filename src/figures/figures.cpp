@@ -1,9 +1,15 @@
 #include "figures.hpp"
 
+#include <functional>
 #include <sstream>
 
+#include "core/system.hpp"
+#include "model/bus_model.hpp"
+#include "model/calibration.hpp"
+#include "model/ring_model.hpp"
 #include "runner/experiment_runner.hpp"
 #include "util/logging.hpp"
+#include "util/table.hpp"
 
 namespace ringsim::figures {
 
@@ -15,13 +21,6 @@ cycleSweepNs()
     return sweep;
 }
 
-TextTable
-makeFigureTable()
-{
-    return TextTable({"workload", "series", "source", "cycle (ns)",
-                      "proc util %", "net util %", "miss lat (ns)"});
-}
-
 void
 FigureOptions::apply(trace::WorkloadConfig &cfg) const
 {
@@ -31,257 +30,152 @@ FigureOptions::apply(trace::WorkloadConfig &cfg) const
 
 namespace {
 
-using Row = std::vector<std::string>;
-
-Row
-makeRow(const trace::WorkloadConfig &wl, const std::string &label,
-        const char *source, double cycle_ns, double putil,
-        double netutil, double lat)
+/** One series or sim point: a protocol on a ring or bus of a period. */
+struct Net
 {
-    return {wl.displayName(), label, source, fmtDouble(cycle_ns, 0),
-            fmtPercent(putil, 1), fmtPercent(netutil, 1),
-            fmtDouble(lat, 0)};
-}
+    core::ProtocolKind kind; //!< BusSnoop is the bus, else a ring
+    Tick period;
+    const char *label;
+};
 
-std::vector<Row>
-ringSeriesRows(const trace::WorkloadConfig &wl,
-               const coherence::Census &census, Tick ring_period,
-               model::RingProtocol protocol, const std::string &label)
+/**
+ * One unit of sweep work. A model block holds every series of one
+ * workload, so they share one census; a sim block holds one timed
+ * validation point.
+ */
+struct Block
 {
-    std::vector<Row> rows;
-    for (double cycle_ns : cycleSweepNs()) {
-        model::RingModelInput in;
-        in.census = census;
-        in.ring =
-            core::RingSystemConfig::forProcs(wl.procs, ring_period)
-                .ring;
-        in.system.procCycle = nsToTicks(cycle_ns);
-        in.protocol = protocol;
-        model::ModelResult r = model::solveRing(in);
-        rows.push_back(makeRow(wl, label, "model", cycle_ns,
-                               r.procUtilization, r.networkUtilization,
-                               r.missLatencyNs));
+    trace::WorkloadConfig wl;
+    bool sim = false;
+    std::vector<Net> nets; //!< the series, or the one sim point
+};
+
+/** The blocks of @p id, in output order. */
+std::vector<Block>
+figureBlocks(FigureId id, const FigureOptions &opt, bool fig6_cholesky)
+{
+    using core::ProtocolKind;
+    using trace::Benchmark;
+    const std::vector<Net> snoop_vs_dir = {
+        {ProtocolKind::RingSnoop, 2000, "snooping"},
+        {ProtocolKind::RingDirectory, 2000, "directory"}};
+
+    std::vector<Benchmark> benchmarks;
+    std::vector<unsigned> sizes = {8, 16, 32};
+    std::vector<Net> series = snoop_vs_dir;
+    std::vector<Net> sims = snoop_vs_dir;
+    switch (id) {
+      case FigureId::Fig3:
+        benchmarks = {Benchmark::MP3D, Benchmark::WATER,
+                      Benchmark::CHOLESKY};
+        break;
+      case FigureId::Fig4:
+        benchmarks = {Benchmark::FFT, Benchmark::WEATHER,
+                      Benchmark::SIMPLE};
+        sizes = {64};
+        break;
+      case FigureId::Fig6:
+        benchmarks = {Benchmark::MP3D, Benchmark::WATER};
+        if (fig6_cholesky)
+            benchmarks.push_back(Benchmark::CHOLESKY);
+        series = {{ProtocolKind::RingSnoop, 2000, "ring 500MHz"},
+                  {ProtocolKind::RingSnoop, 4000, "ring 250MHz"},
+                  {ProtocolKind::BusSnoop, 10000, "bus 100MHz"},
+                  {ProtocolKind::BusSnoop, 20000, "bus 50MHz"}};
+        sims = {series[0], series[3]};
+        break;
     }
-    return rows;
+
+    std::vector<Block> blocks;
+    for (Benchmark b : benchmarks) {
+        for (unsigned procs : sizes) {
+            trace::WorkloadConfig wl = trace::workloadPreset(b, procs);
+            opt.apply(wl);
+            blocks.push_back({wl, false, series});
+            for (const Net &net : sims)
+                blocks.push_back({wl, true, {net}});
+        }
+    }
+    return blocks;
 }
 
-std::vector<Row>
-busSeriesRows(const trace::WorkloadConfig &wl,
-              const coherence::Census &census, Tick bus_period,
-              const std::string &label)
+template <typename Result>
+FigureRow
+makeRow(const trace::WorkloadConfig &wl, const Net &net,
+        const char *source, double cycle_ns, const Result &r)
 {
-    std::vector<Row> rows;
-    for (double cycle_ns : cycleSweepNs()) {
+    return {wl.displayName(), net.label, source, fmtDouble(cycle_ns, 0),
+            fmtPercent(r.procUtilization, 1),
+            fmtPercent(r.networkUtilization, 1),
+            fmtDouble(r.missLatencyNs, 0)};
+}
+
+model::ModelResult
+solveModel(const trace::WorkloadConfig &wl,
+           const coherence::Census &census, const Net &net,
+           double cycle_ns)
+{
+    if (net.kind == core::ProtocolKind::BusSnoop) {
         model::BusModelInput in;
         in.census = census;
-        in.bus = core::BusSystemConfig::forProcs(wl.procs, bus_period)
+        in.bus = core::BusSystemConfig::forProcs(wl.procs, net.period)
                      .bus;
         in.system.procCycle = nsToTicks(cycle_ns);
-        model::ModelResult r = model::solveBus(in);
-        rows.push_back(makeRow(wl, label, "model", cycle_ns,
-                               r.procUtilization, r.networkUtilization,
-                               r.missLatencyNs));
+        return model::solveBus(in);
+    }
+    model::RingModelInput in;
+    in.census = census;
+    in.ring =
+        core::RingSystemConfig::forProcs(wl.procs, net.period).ring;
+    in.system.procCycle = nsToTicks(cycle_ns);
+    in.protocol = net.kind == core::ProtocolKind::RingDirectory
+                      ? model::RingProtocol::Directory
+                      : model::RingProtocol::Snoop;
+    return model::solveRing(in);
+}
+
+core::RunResult
+simulate(const trace::WorkloadConfig &wl, const Net &net,
+         const fault::FaultConfig &faults)
+{
+    if (net.kind == core::ProtocolKind::BusSnoop) {
+        return core::runBusSystem(
+            core::BusSystemConfig::forProcs(wl.procs, net.period), wl);
+    }
+    core::RingSystemConfig cfg =
+        core::RingSystemConfig::forProcs(wl.procs, net.period);
+    cfg.common.faults = faults;
+    return core::runRingSystem(cfg, wl, net.kind);
+}
+
+/** The one block executor, shared by renderFigure and runFigureBlock. */
+std::vector<FigureRow>
+blockRows(const Block &block, const FigureOptions &opt)
+{
+    std::vector<FigureRow> rows;
+    if (block.sim) {
+        // A timed point runs at the default 20 ns (50 MIPS) cycle. The
+        // sim points are the expensive half, so the degraded
+        // model-only tier omits them.
+        if (!opt.modelOnly) {
+            const Net &net = block.nets.front();
+            rows.push_back(makeRow(block.wl, net, "sim", 20,
+                                   simulate(block.wl, net, opt.faults)));
+        }
+        return rows;
+    }
+    coherence::Census census = model::calibrate(block.wl);
+    for (const Net &net : block.nets) {
+        for (double cycle_ns : cycleSweepNs()) {
+            rows.push_back(
+                makeRow(block.wl, net, "model", cycle_ns,
+                        solveModel(block.wl, census, net, cycle_ns)));
+        }
     }
     return rows;
-}
-
-std::vector<Row>
-ringSimRows(const trace::WorkloadConfig &wl, Tick ring_period,
-            core::ProtocolKind kind, const fault::FaultConfig &faults,
-            const std::string &label)
-{
-    core::RingSystemConfig cfg =
-        core::RingSystemConfig::forProcs(wl.procs, ring_period);
-    cfg.common.faults = faults;
-    core::RunResult r = core::runRingSystem(cfg, wl, kind);
-    return {makeRow(wl, label, "sim", 20, r.procUtilization,
-                    r.networkUtilization, r.missLatencyNs)};
-}
-
-std::vector<Row>
-busSimRows(const trace::WorkloadConfig &wl, Tick bus_period,
-           const std::string &label)
-{
-    core::BusSystemConfig cfg =
-        core::BusSystemConfig::forProcs(wl.procs, bus_period);
-    core::RunResult r = core::runBusSystem(cfg, wl);
-    return {makeRow(wl, label, "sim", 20, r.procUtilization,
-                    r.networkUtilization, r.missLatencyNs)};
-}
-
-std::string
-workloadKey(const trace::WorkloadConfig &wl)
-{
-    return wl.displayName() + "/" + std::to_string(wl.seed) + "/" +
-           std::to_string(wl.dataRefsPerProc);
 }
 
 } // namespace
-
-std::vector<FigureRow>
-FigureSweep::blockRows(const Block &block,
-                       const coherence::Census *census,
-                       const fault::FaultConfig &faults,
-                       bool model_only)
-{
-    // Degraded tier: the sim validation rows are the expensive half;
-    // model-only output simply omits them.
-    if (model_only && (block.kind == BlockKind::RingSim ||
-                       block.kind == BlockKind::BusSim))
-        return {};
-    switch (block.kind) {
-      case BlockKind::RingSeries:
-        return ringSeriesRows(block.wl, *census, block.period,
-                              block.protocol, block.label);
-      case BlockKind::BusSeries:
-        return busSeriesRows(block.wl, *census, block.period,
-                             block.label);
-      case BlockKind::RingSim:
-        return ringSimRows(block.wl, block.period, block.simKind,
-                           faults, block.label);
-      case BlockKind::BusSim:
-        return busSimRows(block.wl, block.period, block.label);
-    }
-    panic("unreachable figure block kind");
-}
-
-std::size_t
-FigureSweep::censusSlotFor(const trace::WorkloadConfig &wl)
-{
-    std::string key = workloadKey(wl);
-    for (std::size_t i = 0; i < calibrationKeys_.size(); ++i) {
-        if (calibrationKeys_[i] == key)
-            return i;
-    }
-    calibrationKeys_.push_back(std::move(key));
-    calibrations_.push_back(wl);
-    return calibrations_.size() - 1;
-}
-
-void
-FigureSweep::addRingSeries(const trace::WorkloadConfig &wl,
-                           Tick ring_period,
-                           model::RingProtocol protocol,
-                           const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::RingSeries;
-    block.wl = wl;
-    block.period = ring_period;
-    block.protocol = protocol;
-    block.label = label;
-    block.needsCensus = true;
-    block.censusSlot = censusSlotFor(wl);
-    blocks_.push_back(std::move(block));
-}
-
-void
-FigureSweep::addBusSeries(const trace::WorkloadConfig &wl,
-                          Tick bus_period, const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::BusSeries;
-    block.wl = wl;
-    block.period = bus_period;
-    block.label = label;
-    block.needsCensus = true;
-    block.censusSlot = censusSlotFor(wl);
-    blocks_.push_back(std::move(block));
-}
-
-void
-FigureSweep::addRingSimPoint(const trace::WorkloadConfig &wl,
-                             Tick ring_period, core::ProtocolKind kind,
-                             const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::RingSim;
-    block.wl = wl;
-    block.period = ring_period;
-    block.simKind = kind;
-    block.label = label;
-    blocks_.push_back(std::move(block));
-}
-
-void
-FigureSweep::addBusSimPoint(const trace::WorkloadConfig &wl,
-                            Tick bus_period, const std::string &label)
-{
-    Block block;
-    block.kind = BlockKind::BusSim;
-    block.wl = wl;
-    block.period = bus_period;
-    block.label = label;
-    blocks_.push_back(std::move(block));
-}
-
-TextTable
-FigureSweep::run() const
-{
-    // Phase 1: one calibration job per distinct workload. Sim points
-    // do not consume a census, so they are not held up by this phase
-    // in principle; in practice calibrations are the cheaper half and
-    // the two-phase structure keeps result wiring trivial.
-    std::vector<std::function<coherence::Census()>> calib_tasks;
-    calib_tasks.reserve(calibrations_.size());
-    for (const trace::WorkloadConfig &wl : calibrations_) {
-        calib_tasks.push_back(
-            [wl]() { return model::calibrate(wl); });
-    }
-    std::vector<coherence::Census> censuses =
-        runner::runAll(std::move(calib_tasks), opt_.jobs);
-
-    // Phase 2: every registered block is one job producing its rows.
-    // Blocks the degraded tier skips still occupy their index (with
-    // empty rows) so results aligns with the block index space that
-    // sweep-part jobs shard over.
-    std::vector<std::function<std::vector<Row>()>> block_tasks;
-    block_tasks.reserve(blocks_.size());
-    const fault::FaultConfig &faults = opt_.faults;
-    const bool model_only = opt_.modelOnly;
-    for (const Block &block : blocks_) {
-        const coherence::Census *census =
-            block.needsCensus ? &censuses[block.censusSlot] : nullptr;
-        block_tasks.push_back([&block, census, &faults,
-                               model_only]() -> std::vector<Row> {
-            return blockRows(block, census, faults, model_only);
-        });
-    }
-    std::vector<std::vector<Row>> results =
-        runner::runAll(std::move(block_tasks), opt_.jobs);
-
-    // Assemble in registration order: bit-identical to a serial run.
-    return assemble(results);
-}
-
-std::vector<FigureRow>
-FigureSweep::runBlock(std::size_t index) const
-{
-    if (index >= blocks_.size())
-        panic("figure block index %zu out of range (%zu blocks)",
-              index, blocks_.size());
-    const Block &block = blocks_[index];
-    coherence::Census census;
-    if (block.needsCensus)
-        census = model::calibrate(block.wl);
-    return blockRows(block, block.needsCensus ? &census : nullptr,
-                     opt_.faults, opt_.modelOnly);
-}
-
-TextTable
-FigureSweep::assemble(
-    const std::vector<std::vector<FigureRow>> &rows_per_block) const
-{
-    if (rows_per_block.size() != blocks_.size())
-        panic("figure assembly expects %zu block row sets, got %zu",
-              blocks_.size(), rows_per_block.size());
-    TextTable table = makeFigureTable();
-    for (const std::vector<FigureRow> &rows : rows_per_block) {
-        for (const FigureRow &row : rows)
-            table.addRow(row);
-    }
-    return table;
-}
 
 const char *
 figureName(FigureId id)
@@ -328,108 +222,69 @@ figureTitle(FigureId id)
     panic("unreachable figure id");
 }
 
-namespace {
-
-void
-buildFig3(FigureSweep &sweep, const FigureOptions &opt)
+std::string
+renderFigure(FigureId id, const FigureOptions &opt, bool csv,
+             bool fig6_cholesky)
 {
-    for (trace::Benchmark b : {trace::Benchmark::MP3D,
-                               trace::Benchmark::WATER,
-                               trace::Benchmark::CHOLESKY}) {
-        for (unsigned procs : {8u, 16u, 32u}) {
-            trace::WorkloadConfig wl = trace::workloadPreset(b, procs);
-            opt.apply(wl);
-
-            sweep.addRingSeries(wl, 2000, model::RingProtocol::Snoop,
-                                "snooping");
-            sweep.addRingSeries(wl, 2000,
-                                model::RingProtocol::Directory,
-                                "directory");
-            sweep.addRingSimPoint(wl, 2000,
-                                  core::ProtocolKind::RingSnoop,
-                                  "snooping");
-            sweep.addRingSimPoint(wl, 2000,
-                                  core::ProtocolKind::RingDirectory,
-                                  "directory");
+    const std::vector<Block> blocks =
+        figureBlocks(id, opt, fig6_cholesky);
+    // Model blocks run in one runAll pass and sim blocks in a second.
+    // A single pool over all blocks is simpler, but it overlaps the
+    // large census and sim blocks (~30 MB each for CHOLESKY-32), and
+    // fig3's peak RSS then rose from ~90 MB to 97-106 MB on most seeds.
+    std::vector<std::vector<FigureRow>> rows(blocks.size());
+    for (bool sim : {false, true}) {
+        std::vector<std::size_t> slots;
+        std::vector<std::function<std::vector<FigureRow>()>> tasks;
+        for (std::size_t i = 0; i < blocks.size(); ++i) {
+            if (blocks[i].sim != sim)
+                continue;
+            slots.push_back(i);
+            tasks.push_back(
+                [&blocks, &opt, i] { return blockRows(blocks[i], opt); });
         }
+        std::vector<std::vector<FigureRow>> done =
+            runner::runAll(std::move(tasks), opt.jobs);
+        for (std::size_t k = 0; k < slots.size(); ++k)
+            rows[slots[k]] = std::move(done[k]);
     }
+    return assembleFigure(id, opt, rows, csv, fig6_cholesky);
 }
 
-void
-buildFig4(FigureSweep &sweep, const FigureOptions &opt)
+std::size_t
+figureBlockCount(FigureId id, const FigureOptions &opt,
+                 bool fig6_cholesky)
 {
-    for (trace::Benchmark b : {trace::Benchmark::FFT,
-                               trace::Benchmark::WEATHER,
-                               trace::Benchmark::SIMPLE}) {
-        trace::WorkloadConfig wl = trace::workloadPreset(b, 64);
-        opt.apply(wl);
-
-        sweep.addRingSeries(wl, 2000, model::RingProtocol::Snoop,
-                            "snooping");
-        sweep.addRingSeries(wl, 2000, model::RingProtocol::Directory,
-                            "directory");
-        sweep.addRingSimPoint(wl, 2000,
-                              core::ProtocolKind::RingSnoop,
-                              "snooping");
-        sweep.addRingSimPoint(wl, 2000,
-                              core::ProtocolKind::RingDirectory,
-                              "directory");
-    }
+    return figureBlocks(id, opt, fig6_cholesky).size();
 }
 
-void
-buildFig6(FigureSweep &sweep, const FigureOptions &opt,
-          bool with_cholesky)
+std::vector<FigureRow>
+runFigureBlock(FigureId id, const FigureOptions &opt, std::size_t block,
+               bool fig6_cholesky)
 {
-    std::vector<trace::Benchmark> benchmarks = {trace::Benchmark::MP3D,
-                                                trace::Benchmark::WATER};
-    if (with_cholesky)
-        benchmarks.push_back(trace::Benchmark::CHOLESKY);
-
-    for (trace::Benchmark b : benchmarks) {
-        for (unsigned procs : {8u, 16u, 32u}) {
-            trace::WorkloadConfig wl = trace::workloadPreset(b, procs);
-            opt.apply(wl);
-
-            sweep.addRingSeries(wl, 2000, model::RingProtocol::Snoop,
-                                "ring 500MHz");
-            sweep.addRingSeries(wl, 4000, model::RingProtocol::Snoop,
-                                "ring 250MHz");
-            sweep.addBusSeries(wl, 10000, "bus 100MHz");
-            sweep.addBusSeries(wl, 20000, "bus 50MHz");
-            sweep.addRingSimPoint(wl, 2000,
-                                  core::ProtocolKind::RingSnoop,
-                                  "ring 500MHz");
-            sweep.addBusSimPoint(wl, 20000, "bus 50MHz");
-        }
-    }
+    const std::vector<Block> blocks =
+        figureBlocks(id, opt, fig6_cholesky);
+    if (block >= blocks.size())
+        panic("figure block index %zu out of range (%zu blocks)", block,
+              blocks.size());
+    return blockRows(blocks[block], opt);
 }
-
-} // namespace
-
-FigureSweep
-buildFigure(FigureId id, const FigureOptions &opt, bool fig6_cholesky)
-{
-    FigureSweep sweep(opt);
-    switch (id) {
-      case FigureId::Fig3:
-        buildFig3(sweep, opt);
-        break;
-      case FigureId::Fig4:
-        buildFig4(sweep, opt);
-        break;
-      case FigureId::Fig6:
-        buildFig6(sweep, opt, fig6_cholesky);
-        break;
-    }
-    return sweep;
-}
-
-namespace {
 
 std::string
-renderTable(FigureId id, const TextTable &table, bool csv)
+assembleFigure(FigureId id, const FigureOptions &opt,
+               const std::vector<std::vector<FigureRow>> &rows_per_block,
+               bool csv, bool fig6_cholesky)
 {
+    std::size_t n = figureBlockCount(id, opt, fig6_cholesky);
+    if (rows_per_block.size() != n)
+        panic("figure assembly expects %zu block row sets, got %zu", n,
+              rows_per_block.size());
+    TextTable table({"workload", "series", "source", "cycle (ns)",
+                     "proc util %", "net util %", "miss lat (ns)"});
+    for (const std::vector<FigureRow> &rows : rows_per_block) {
+        for (const FigureRow &row : rows)
+            table.addRow(row);
+    }
     std::ostringstream os;
     if (csv) {
         table.printCsv(os);
@@ -438,39 +293,6 @@ renderTable(FigureId id, const TextTable &table, bool csv)
         table.print(os);
     }
     return os.str();
-}
-
-} // namespace
-
-std::string
-renderFigure(FigureId id, const FigureOptions &opt, bool csv,
-             bool fig6_cholesky)
-{
-    FigureSweep sweep = buildFigure(id, opt, fig6_cholesky);
-    return renderTable(id, sweep.run(), csv);
-}
-
-std::size_t
-figureBlockCount(FigureId id, const FigureOptions &opt,
-                 bool fig6_cholesky)
-{
-    return buildFigure(id, opt, fig6_cholesky).blockCount();
-}
-
-std::vector<FigureRow>
-runFigureBlock(FigureId id, const FigureOptions &opt,
-               std::size_t block, bool fig6_cholesky)
-{
-    return buildFigure(id, opt, fig6_cholesky).runBlock(block);
-}
-
-std::string
-assembleFigure(FigureId id, const FigureOptions &opt,
-               const std::vector<std::vector<FigureRow>> &rows_per_block,
-               bool csv, bool fig6_cholesky)
-{
-    FigureSweep sweep = buildFigure(id, opt, fig6_cholesky);
-    return renderTable(id, sweep.assemble(rows_per_block), csv);
 }
 
 } // namespace ringsim::figures

@@ -2,49 +2,54 @@
  * @file
  * The paper's figure sweeps as a library.
  *
- * PR 1 made the figure benches declarative (register series and
- * validation points, run them as parallel jobs); this module hoists
- * that machinery — and the *definitions* of Figures 3, 4 and 6 —
- * out of bench/ so two front ends can execute the identical sweep:
+ * This module holds the *definitions* of Figures 3, 4 and 6 so that
+ * every front end executes the identical sweep:
  *
  *  - the bench binaries (bench/fig3_snoop_vs_dir, ...) for direct
- *    command-line reproduction, and
- *  - the experiment service (src/service/), which receives a sweep
- *    request over a socket, executes it through this library, and
- *    memoizes the rendered output under a content-addressed key.
+ *    command-line reproduction,
+ *  - the experiment service (src/service/), which executes a whole
+ *    sweep or one block of it and memoizes the result under a
+ *    content-addressed key, and
+ *  - the fleet (src/fleet/), which splits a sweep into one part per
+ *    block, spreads the parts over workers and reassembles them.
  *
- * Byte-identity between the two paths is by construction: both call
- * renderFigure() with the same FigureOptions, so the service can
- * legally serve a cached result where a direct run would recompute.
+ * A figure is a list of *blocks*, the unit of sweep work. A model
+ * block holds every analytic-model series of one workload, so the
+ * series share the workload's one coherence census (paper Section
+ * 4.0); a sim block holds one timed validation point. Figure 3 has
+ * 27 blocks, Figure 4 has 9, and Figure 6 has 18 (27 with CHOLESKY).
+ * One function executes a block: renderFigure() runs every block and
+ * runFigureBlock() runs one, so a direct run and a split sweep do the
+ * same work, and assembleFigure() over the blocks' rows reproduces
+ * renderFigure() byte for byte.
  *
  * Fault injection: a non-zero FigureOptions::faults is applied to the
- * *sim validation points* (the analytic-model series stay fault-free —
- * the model has no fault dimension). The all-zero default leaves every
- * figure byte-identical to builds without the fault subsystem.
+ * *ring sim validation points* (the analytic-model series stay
+ * fault-free — the model has no fault dimension). The all-zero
+ * default leaves every figure byte-identical to builds without the
+ * fault subsystem.
  */
 
 #ifndef RINGSIM_FIGURES_FIGURES_HPP
 #define RINGSIM_FIGURES_FIGURES_HPP
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/system.hpp"
 #include "fault/fault.hpp"
-#include "model/bus_model.hpp"
-#include "model/calibration.hpp"
-#include "model/ring_model.hpp"
-#include "util/table.hpp"
+#include "trace/workload.hpp"
 
 namespace ringsim::figures {
 
 /** Processor cycle sweep of the figures, in ns (x axes, 1..20). */
 const std::vector<double> &cycleSweepNs();
 
-/** Columns of a figure table. */
-TextTable makeFigureTable();
-
-/** One rendered table row (the cells of makeFigureTable columns). */
+/**
+ * One rendered table row: workload, series, source, cycle (ns),
+ * proc util %, net util %, miss lat (ns).
+ */
 using FigureRow = std::vector<std::string>;
 
 /** Options one figure sweep runs under (a subset of bench flags). */
@@ -68,96 +73,6 @@ struct FigureOptions
     void apply(trace::WorkloadConfig &cfg) const;
 };
 
-/**
- * Declarative figure sweep: register model series and sim validation
- * points, then run() them as parallel jobs.
- */
-class FigureSweep
-{
-  public:
-    explicit FigureSweep(const FigureOptions &opt) : opt_(opt) {}
-
-    /** Register the model-swept series of one ring configuration. */
-    void addRingSeries(const trace::WorkloadConfig &wl, Tick ring_period,
-                       model::RingProtocol protocol,
-                       const std::string &label);
-
-    /** Register the model-swept series of one bus configuration. */
-    void addBusSeries(const trace::WorkloadConfig &wl, Tick bus_period,
-                      const std::string &label);
-
-    /** Register the timed ring validation row (50 MIPS point). */
-    void addRingSimPoint(const trace::WorkloadConfig &wl,
-                         Tick ring_period, core::ProtocolKind kind,
-                         const std::string &label);
-
-    /** Register the timed bus validation row (50 MIPS point). */
-    void addBusSimPoint(const trace::WorkloadConfig &wl, Tick bus_period,
-                        const std::string &label);
-
-    /**
-     * Execute all registered blocks — calibrations first (one job per
-     * distinct workload), then every series/sim block as its own job —
-     * and return the assembled table. Uses opt.jobs workers.
-     */
-    TextTable run() const;
-
-    /**
-     * Number of registered blocks. The block index space is the unit
-     * of fleet sweep sharding: a sweep job with part=i computes
-     * exactly runBlock(i), and assemble() of all parts reproduces
-     * run() byte-identically.
-     */
-    std::size_t blockCount() const { return blocks_.size(); }
-
-    /**
-     * Execute one registered block and return its rows. A series
-     * block computes its own calibration census (model::calibrate is
-     * deterministic, so a census recomputed on another worker yields
-     * the same rows as run()'s shared phase-1 census). Under
-     * opt.modelOnly a sim block returns no rows, mirroring run().
-     * Panics on an out-of-range index — callers validate against
-     * blockCount().
-     */
-    std::vector<FigureRow> runBlock(std::size_t index) const;
-
-    /**
-     * Assemble per-block row vectors (one entry per registered block,
-     * in block-index order) into the figure table. assemble() of
-     * runBlock(0..blockCount()-1) equals run() byte-for-byte, however
-     * the blocks were partitioned across workers.
-     */
-    TextTable
-    assemble(const std::vector<std::vector<FigureRow>> &rows_per_block)
-        const;
-
-  private:
-    enum class BlockKind { RingSeries, BusSeries, RingSim, BusSim };
-
-    struct Block
-    {
-        BlockKind kind;
-        trace::WorkloadConfig wl;
-        Tick period = 0;
-        model::RingProtocol protocol = model::RingProtocol::Snoop;
-        core::ProtocolKind simKind = core::ProtocolKind::RingSnoop;
-        std::string label;
-        std::size_t censusSlot = 0; //!< calibration index (series only)
-        bool needsCensus = false;
-    };
-
-    std::size_t censusSlotFor(const trace::WorkloadConfig &wl);
-
-    static std::vector<FigureRow>
-    blockRows(const Block &block, const coherence::Census *census,
-              const fault::FaultConfig &faults, bool model_only);
-
-    FigureOptions opt_;
-    std::vector<Block> blocks_;
-    std::vector<trace::WorkloadConfig> calibrations_;
-    std::vector<std::string> calibrationKeys_;
-};
-
 /** The figures this library can build. */
 enum class FigureId {
     Fig3, //!< snooping vs directory, SPLASH 8/16/32
@@ -179,16 +94,11 @@ const char *figureName(FigureId id);
 std::string figureTitle(FigureId id);
 
 /**
- * Build the registered sweep of @p id under @p opt. Fig6 optionally
- * includes CHOLESKY (the paper omits it for space).
- */
-FigureSweep buildFigure(FigureId id, const FigureOptions &opt,
-                        bool fig6_cholesky = false);
-
-/**
  * Execute @p id and render the complete bench output (title line plus
  * table, or CSV when @p csv) exactly as the bench binary prints it.
- * This is the unit of work the experiment service caches.
+ * Runs every block on opt.jobs workers. Fig6 optionally includes
+ * CHOLESKY (the paper omits it for space). This is the unit of work
+ * the experiment service caches.
  */
 std::string renderFigure(FigureId id, const FigureOptions &opt,
                          bool csv = false, bool fig6_cholesky = false);
@@ -198,8 +108,12 @@ std::size_t figureBlockCount(FigureId id, const FigureOptions &opt,
                              bool fig6_cholesky = false);
 
 /**
- * Execute one block of @p id (see FigureSweep::runBlock). This is the
- * unit of work a fleet worker performs for a sweep-part job.
+ * Execute block @p block of @p id and return its rows: a model block
+ * computes its workload's census and emits every series' rows; a sim
+ * block runs its timed point. Under opt.modelOnly a sim block returns
+ * no rows but keeps its index. This is the unit of work a fleet
+ * worker performs for a sweep-part job. Panics on an out-of-range
+ * index — callers validate against figureBlockCount().
  */
 std::vector<FigureRow> runFigureBlock(FigureId id,
                                       const FigureOptions &opt,
@@ -209,8 +123,9 @@ std::vector<FigureRow> runFigureBlock(FigureId id,
 /**
  * Render @p rows_per_block (one entry per block, in block order) into
  * the complete bench output. assembleFigure() over runFigureBlock()
- * results equals renderFigure() byte-for-byte — the contract that
- * legalizes fleet sweep splitting.
+ * results equals renderFigure() byte-for-byte, however the blocks
+ * were partitioned across workers — the contract that legalizes
+ * fleet sweep splitting.
  */
 std::string
 assembleFigure(FigureId id, const FigureOptions &opt,

@@ -10,10 +10,11 @@ codeVersionSalt()
 {
     // Bump with any change that can alter a result byte (protocol
     // timing, model coefficients, table formatting, trace
-    // generation) — and with any change to the on-disk entry frame,
-    // so pre-checksum files are never half-trusted. PR number + date
-    // keeps bumps unambiguous.
-    return "ringsim-pr7-2026-08-08";
+    // generation), with any change to which block a sweep part index
+    // names — and with any change to the on-disk entry frame, so
+    // pre-checksum files are never half-trusted. A date plus the
+    // reason keeps bumps unambiguous.
+    return "ringsim-2026-10-18-model-blocks";
 }
 
 std::uint64_t

@@ -320,7 +320,7 @@ TEST(Coordinator, RequeuesPartsAroundADeadWorker)
     util::JsonValue stats = fleet.request("{\"op\":\"statsz\"}");
     const util::JsonValue *fstats = stats.find("fleet");
     ASSERT_NE(fstats, nullptr);
-    // 36 fig3 blocks over 3 shards: some parts landed on the dead
+    // 27 fig3 blocks over 3 shards: some parts landed on the dead
     // worker and had to fail over to its successor.
     EXPECT_GE(fstats->getU64("requeues", 0, &errors), 1u);
     EXPECT_EQ(fstats->getU64("failures", 1, &errors), 0u);

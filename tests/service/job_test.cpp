@@ -116,6 +116,16 @@ TEST(JobParse, SweepUnknownFigureRejected)
         << error;
 }
 
+TEST(JobParse, SweepPartOutOfRangeRejected)
+{
+    JobSpec spec;
+    std::string error;
+    EXPECT_FALSE(tryParseJob(
+        "{\"type\":\"sweep\",\"figure\":\"fig3\",\"part\":27}", &spec,
+        &error));
+    EXPECT_EQ(error, "part = 27: fig3 has 27 blocks (0..26)");
+}
+
 TEST(JobParse, VerifyBoundsChecked)
 {
     JobSpec spec;
@@ -290,8 +300,8 @@ TEST(JobGolden, SweepPartResultBytes)
 {
     EXPECT_EQ(
         executeDump("{\"type\":\"sweep\",\"figure\":\"fig3\","
-                    "\"part\":10,\"refs\":12000,\"fast\":true}"),
-        R"({"kind":"sweep_part","figure":"fig3","part":10,"rows":)"
+                    "\"part\":7,\"refs\":12000,\"fast\":true}"),
+        R"({"kind":"sweep_part","figure":"fig3","part":7,"rows":)"
         R"([["MP3D 32","snooping","sim","20","17.6","53.4","529"]]})");
 }
 

@@ -45,7 +45,7 @@ TEST(SplitmixFinalizer, PinsEveryConsumerBitForBit)
     EXPECT_EQ(service::fingerprint64("data", 1), 0x26ae968a4fd446b4ULL);
     EXPECT_EQ(service::fingerprint64("", 0), 0xf52a15e9a9b5e89bULL);
     EXPECT_EQ(service::cacheKey("{\"type\":\"run\"}", ""),
-              "18f4f9bb20158acb9cab9860d013b53f");
+              "673864a97d6dd0b05eef87e79e19bae4");
 
     fault::FaultPlan plan(7);
     std::vector<std::pair<unsigned, unsigned>> fires;
