@@ -177,7 +177,8 @@ BM_KernelFarFuture(benchmark::State &state)
 }
 BENCHMARK(BM_KernelFarFuture);
 
-/** A client that never touches the slots (pure rotation cost). */
+/** A client that never touches the slots (pure rotation cost). Every
+ *  node is marked pending, so each rotation visits every node. */
 class IdleClient : public ring::RingClient
 {
   public:
@@ -192,8 +193,9 @@ BM_RingCycle(benchmark::State &state)
     config.nodes = static_cast<unsigned>(state.range(0));
     ring::SlotRing ring_net(kernel, config);
     IdleClient client;
+    ring_net.setClient(client);
     for (NodeId n = 0; n < config.nodes; ++n)
-        ring_net.setClient(n, client);
+        ring_net.notifyPending(n);
     ring_net.start(0);
     warmup(kernel, 1000);
     for (auto _ : state)

@@ -35,11 +35,11 @@ using namespace ringsim;
 namespace {
 
 /**
- * One client object registered for every node — the same uniform
- * registration the protocol engines use, so the ring batch-dispatches
- * whole rotations through onVisits. Node 0 first fills the ring to
- * the requested occupancy with circulating messages (destination
- * nobody, never removed); every visit thereafter is a pure reaction.
+ * The ring's one client, batch-dispatched whole rotations through
+ * onVisits as the protocol engines are. Node 0, pending, first fills
+ * the ring to the requested occupancy with circulating messages
+ * (destination nobody, never removed); every visit thereafter is a
+ * pure reaction.
  */
 class UniformTickClient : public ring::RingClient
 {
@@ -116,8 +116,7 @@ BM_RingTick(benchmark::State &state)
     UniformTickClient client;
     client.ring = &ring_net;
     client.target = config.totalSlots() * occ_pct / 100;
-    for (NodeId n = 0; n < nodes; ++n)
-        ring_net.setClient(n, client);
+    ring_net.setClient(client);
 
     ring_net.start(0);
     if (client.target > 0) {
@@ -125,11 +124,9 @@ BM_RingTick(benchmark::State &state)
         while (client.placed < client.target)
             kernel.run(kernel.now() + config.roundTripTime());
     }
-    // Steady state from here on: every visit is a pure reaction, so
-    // all nodes may opt into idle skipping (ignored by the reference
-    // path).
-    for (NodeId n = 0; n < nodes; ++n)
-        ring_net.enableIdleSkip(n);
+    // Steady state from here on: nothing is pending and every visit
+    // is a pure reaction to an occupied slot (the reference path
+    // still visits every node).
 
     // Advance simulated time in fixed chunks; each iteration covers
     // the same number of ring cycles on either path. Chunks are large

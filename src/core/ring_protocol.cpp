@@ -19,16 +19,9 @@ RingProtocolBase::RingProtocolBase(sim::Kernel &kernel,
     queues_.resize(static_cast<size_t>(nodes_) * 3);
     queuedMsgs_.assign(nodes_, 0);
     bankFreeAt_.assign(nodes_, 0);
-    for (NodeId n = 0; n < nodes_; ++n) {
-        // One object for every node: the ring detects the uniform
-        // registration and batch-dispatches whole rotations through
-        // onVisits instead of one virtual call per visit.
-        ring_.setClient(n, *this);
-        // A visit on an empty slot with empty queues does nothing, so
-        // the ring may skip those visits (and fast-forward when every
-        // node is idle).
-        ring_.enableIdleSkip(n);
-    }
+    // One object serves every node; enqueue()/tryInsert() keep the
+    // ring's pending flags honest, as the RingClient contract asks.
+    ring_.setClient(*this);
 }
 
 RingProtocolBase::~RingProtocolBase() = default;

@@ -45,13 +45,12 @@ enum RingMsgKind : std::uint32_t {
 /**
  * Base class of the timed ring protocols.
  *
- * The protocol itself is the ring client for every node: one object
- * registered uniformly lets the ring hand it a whole rotation's live
- * visits in a single onVisits() call (no per-node trampoline, no
- * per-visit virtual hop). A visit on an empty slot with nothing queued
- * is a pure no-op (no state change, no statistics), so the constructor
- * opts every node into the ring's idle skipping; enqueue()/tryInsert()
- * keep the pending flags honest.
+ * The protocol itself is the ring's client for every node, so the ring
+ * hands it a whole rotation's live visits in a single onVisits() call
+ * (no per-node trampoline, no per-visit virtual hop). A visit on an
+ * empty slot with nothing queued is a pure no-op (no state change, no
+ * statistics), as the RingClient contract requires;
+ * enqueue()/tryInsert() keep the ring's pending flags honest.
  */
 class RingProtocolBase : public Protocol, public ring::RingClient
 {

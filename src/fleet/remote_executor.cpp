@@ -178,14 +178,9 @@ RemoteExecutor::splitSweep(const service::JobSpec &spec,
     std::vector<std::vector<figures::FigureRow>> rows_per_block =
         runner::runAll(std::move(tasks), static_cast<unsigned>(fanout));
 
-    figures::FigureOptions opt;
-    opt.refs = spec.refs;
-    opt.seed = spec.seed;
-    opt.fast = spec.fast;
-    opt.faults = spec.faults;
-    std::string text =
-        figures::assembleFigure(spec.figure, opt, rows_per_block,
-                                spec.csv, spec.fig6Cholesky);
+    std::string text = figures::assembleFigure(
+        spec.figure, service::figureOptionsFor(spec), rows_per_block,
+        spec.csv, spec.fig6Cholesky);
     ++sweepSplits_;
     partsForwarded_ += blocks;
 

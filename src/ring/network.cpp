@@ -58,7 +58,6 @@ SlotHandle::remove()
     ring_.accrueOccupancy();
     --ring_.occCnt_[t];
     --ring_.occTotal_;
-    ++ring_.occEpoch_;
     freedHere_ = true;
     ++ring_.removed_[t];
     return ring_.msgs_[s];
@@ -78,7 +77,6 @@ SlotHandle::insert(const RingMessage &msg)
     ring_.accrueOccupancy();
     ++ring_.occCnt_[t];
     ++ring_.occTotal_;
-    ++ring_.occEpoch_;
     ring_.msgs_[s] = msg;
     ring_.insertedAtRot_[s] = ring_.rotations_;
     ring_.insertedBy_[s] = node_;
@@ -88,17 +86,15 @@ SlotHandle::insert(const RingMessage &msg)
 void
 SlotRing::TickEvent::process()
 {
-    // Mirror of sim::Ticker::process with the handler call
-    // devirtualized to ring_.tick(); see the class comment. Any
-    // change to Ticker's schedule/consume protocol must land here
-    // too (the golden equivalence tests catch a divergence).
-    if (!batching_) {
-        Count this_cycle = cycle_++;
-        // Reschedule before the handler so the handler may stop() us.
-        kernel_.schedule(*this, kernel_.now() + period_);
-        ring_.tick(this_cycle);
-        return;
-    }
+    // Batched self-ticking with the handler call devirtualized to
+    // ring_.tick(). Reschedule before the tick so it may stop() or
+    // fastForward() us; the phantom variant defers the wheel
+    // insertion, which the self-consume below usually makes
+    // unnecessary altogether. If the firing just scheduled is the
+    // globally next one the run loop would pick anyway, take it here
+    // and loop, skipping a full dispatch round-trip; a stop, a
+    // fast-forward or foreign work due first all leave the event
+    // stream unchanged (the golden equivalence tests pin it).
     for (;;) {
         Count this_cycle = cycle_++;
         kernel_.phantomSchedule(*this, kernel_.now() + period_);
@@ -144,8 +140,6 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     for (NodeId n = 0; n < config_.nodes; ++n)
         nodePos_[n] = config_.nodePosition(n);
 
-    clients_.assign(config_.nodes, nullptr);
-
     // Precompute the visitation schedule: for each rotation offset r,
     // the (node, slot) pairs whose header lands on a node, in the same
     // ascending-node order the reference scan dispatches. Each node
@@ -171,45 +165,37 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     // strictly ascending run of high indices (nodes whose stage sits
     // below the rotation offset — their header offset wrapped), then a
     // strictly ascending run of low indices, every high index above
-    // every low one. When that shape holds for every rotation (it does
-    // for all ring geometries config::check admits; this is verified,
-    // not assumed), iterating occupancy bits ascending within hi then
-    // lo reproduces node order and the gather can be word-granular.
+    // every low one. It holds by construction (node positions ascend
+    // with node index, header slot indices with stage offset), so
+    // iterating occupancy bits ascending within hi then lo reproduces
+    // node order and the gather can be word-granular. A geometry that
+    // broke the shape would silently reorder dispatch, so it panics.
     rotMaskHi_.assign(std::size_t(stages) * words_, 0);
     rotMaskLo_.assign(std::size_t(stages) * words_, 0);
     visitNode_.assign(std::size_t(stages) * nslots_, invalidNode);
-    masksValid_ = true;
     for (unsigned r = 0; r < stages; ++r) {
         std::uint32_t head = visitHead_[r];
         std::uint32_t tail = visitHead_[r + 1];
         NodeId *vn = visitNode_.data() + std::size_t(r) * nslots_;
-        for (std::uint32_t i = head; i < tail; ++i)
-            vn[visits_[i].slot] = visits_[i].node;
-        if (head == tail)
-            continue;
+        std::uint64_t *hi = rotMaskHi_.data() + std::size_t(r) * words_;
+        std::uint64_t *lo = rotMaskLo_.data() + std::size_t(r) * words_;
         std::uint32_t split = head + 1;
         while (split < tail &&
                visits_[split].slot > visits_[split - 1].slot)
             ++split;
-        bool ok = true;
-        for (std::uint32_t j = split; j < tail && ok; ++j) {
-            if (j > split && visits_[j].slot <= visits_[j - 1].slot)
-                ok = false;
-            if (visits_[j].slot >= visits_[head].slot)
-                ok = false;
+        for (std::uint32_t i = head; i < tail; ++i) {
+            unsigned slot = visits_[i].slot;
+            if (i >= split && ((i > split && slot <= visits_[i - 1].slot) ||
+                               slot >= visits_[head].slot))
+                panic("SlotRing: rotation %u breaks the two-segment "
+                      "visit order (nodes %u, minStagesPerNode %u, "
+                      "linkBits %u, blockBytes %zu)",
+                      r, config_.nodes, config_.minStagesPerNode,
+                      frame.linkBits, frame.blockBytes);
+            vn[slot] = visits_[i].node;
+            (i < split ? hi : lo)[slot >> 6] |= std::uint64_t(1)
+                                                << (slot & 63);
         }
-        if (!ok) {
-            masksValid_ = false;
-            continue;
-        }
-        std::uint64_t *hi = rotMaskHi_.data() + std::size_t(r) * words_;
-        std::uint64_t *lo = rotMaskLo_.data() + std::size_t(r) * words_;
-        for (std::uint32_t i = head; i < split; ++i)
-            hi[visits_[i].slot >> 6] |=
-                std::uint64_t(1) << (visits_[i].slot & 63);
-        for (std::uint32_t i = split; i < tail; ++i)
-            lo[visits_[i].slot >> 6] |=
-                std::uint64_t(1) << (visits_[i].slot & 63);
     }
 
     // Scratch for one rotation's gathered visits. Sized once — a
@@ -217,71 +203,15 @@ SlotRing::SlotRing(sim::Kernel &kernel, const RingConfig &config)
     // raw pointers, so the gather loop carries no size/capacity
     // bookkeeping.
     batch_.assign(config_.nodes, SlotVisit{});
-    batchCache_.assign(std::size_t(stages) * config_.nodes,
-                       SlotVisit{});
-    batchLen_.assign(stages, 0);
-    batchEpoch_.assign(stages, 0);
-
-    tracked_.assign(config_.nodes, 0);
     pending_.assign(config_.nodes, 0);
-
-    // One kernel dispatch can carry many back-to-back ring cycles; the
-    // event stream is unchanged (see Ticker::enableBatching).
-    ticker_.enableBatching();
-}
-
-void
-SlotRing::setClient(NodeId n, RingClient &client)
-{
-    if (n >= clients_.size())
-        panic("setClient: node %u out of range", n);
-    clients_[n] = &client;
-    // The new client has not promised no-op empty visits; revoke any
-    // opt-in the previous one made.
-    if (tracked_[n]) {
-        tracked_[n] = 0;
-        --trackedCount_;
-    }
-    if (pending_[n]) {
-        pending_[n] = 0;
-        --pendingCount_;
-    }
-    refreshUniformClient();
     updateFastDispatch();
-}
-
-void
-SlotRing::refreshUniformClient()
-{
-    RingClient *u = clients_.empty() ? nullptr : clients_[0];
-    for (RingClient *c : clients_) {
-        if (c != u) {
-            u = nullptr;
-            break;
-        }
-    }
-    uniformClient_ = u;
 }
 
 void
 SlotRing::updateFastDispatch()
 {
-    fastDispatch_ = masksValid_ && uniformClient_ != nullptr &&
-                    pendingCount_ == 0 &&
-                    trackedCount_ == config_.nodes &&
-                    injector_ == nullptr && !config_.referenceTickPath;
-}
-
-void
-SlotRing::enableIdleSkip(NodeId n)
-{
-    if (n >= tracked_.size())
-        panic("enableIdleSkip: node %u out of range", n);
-    if (!tracked_[n]) {
-        tracked_[n] = 1;
-        ++trackedCount_;
-        updateFastDispatch();
-    }
+    fastDispatch_ = pendingCount_ == 0 && injector_ == nullptr &&
+                    !config_.referenceTickPath;
 }
 
 void
@@ -312,9 +242,8 @@ SlotRing::clearPending(NodeId n)
 void
 SlotRing::start(Tick start_at)
 {
-    for (NodeId n = 0; n < config_.nodes; ++n)
-        if (!clients_[n])
-            panic("SlotRing started with no client at node %u", n);
+    if (!client_)
+        panic("SlotRing started with no client");
     ticker_.start(start_at);
 }
 
@@ -347,7 +276,6 @@ SlotRing::injectFaults(Count cycle)
                 accrueOccupancy();
                 --occCnt_[t];
                 --occTotal_;
-                ++occEpoch_;
             } else if (!bitTest(corrupt_, s) &&
                        injector_->corruptAt(cycle, s)) {
                 bitSet(corrupt_, s);
@@ -356,112 +284,17 @@ SlotRing::injectFaults(Count cycle)
     }
 }
 
-inline void
-SlotRing::tick(Count cycle)
-{
-    // Slot occupancy accrues into the utilization integral lazily —
-    // a closed form between occupancy changes (see accrueOccupancy) —
-    // so advancing time is all this cycle pays. Time passes during a
-    // stall, so the integral accrues there too.
-    ++cycles_;
-
-    if (fastDispatch_) {
-        // The bitmap dispatch cycle, inline in tick() so it fuses
-        // with the batched process() loop: one uniform client,
-        // verified masks, every node tracked, nothing pending, no
-        // injector, scheduled path (see updateFastDispatch) — the
-        // cycle's work reduces to the incrementally maintained
-        // occupancy counters plus one batched dispatch.
-        unsigned occ = occTotal_;
-        if (occ == 0) {
-            // Quiescent (nothing pending or injected is implied by
-            // the flag).
-            if (++rot_ == stages_)
-                rot_ = 0;
-            ++rotations_;
-            maybeFastForward();
-            return;
-        }
-        unsigned r = rot_;
-        const SlotVisit *begin;
-        const SlotVisit *end;
-        // Saturated shortcut: a completely full ring (the common
-        // saturated regime) means the precomputed span already is the
-        // batch, without touching a mask word.
-        if (occ == nslots_) {
-            begin = visits_.data() + visitHead_[r];
-            end = visits_.data() + visitHead_[r + 1];
-        } else {
-            const SlotVisit *row =
-                batchCache_.data() + std::size_t(r) * config_.nodes;
-            std::uint32_t len = batchLen_[r];
-            if (batchEpoch_[r] != occEpoch_)
-                len = rebuildBatchRow(r);
-            begin = row;
-            end = row + len;
-        }
-        if (begin != end)
-            uniformClient_->onVisits(*this, begin, end);
-        if (++rot_ == stages_)
-            rot_ = 0;
-        ++rotations_;
-        return;
-    }
-
-    if (injector_) {
-        if (stallRemaining_ == 0)
-            stallRemaining_ = injector_->stallFor(cycle);
-        if (stallRemaining_ > 0) {
-            // The pipeline holds: nothing moves, nobody is visited.
-            --stallRemaining_;
-            return;
-        }
-        injectFaults(cycle);
-    }
-
-    if (config_.referenceTickPath)
-        referenceTick();
-    else
-        scheduledTick();
-}
-
-void
-SlotRing::referenceTick()
-{
-    unsigned stages = stages_;
-
-    // The pattern has advanced rot_ stages, so the pattern offset now
-    // at physical position p is (p - rot_) mod stages. A node sees a
-    // slot when that offset is the slot's header stage. Without
-    // stalls, rot_ == cycle % stages.
-    for (NodeId n = 0; n < config_.nodes; ++n) {
-        unsigned pos = nodePos_[n];
-        unsigned off = (pos + stages - rot_) % stages;
-        int slot_idx = headerSlot_[off];
-        if (slot_idx < 0)
-            continue;
-        SlotHandle handle(*this, static_cast<unsigned>(slot_idx), n);
-        clients_[n]->onSlot(handle);
-    }
-
-    if (++rot_ == stages)
-        rot_ = 0;
-    ++rotations_;
-}
-
-std::uint32_t
-SlotRing::rebuildBatchRow(unsigned r)
+const SlotVisit *
+SlotRing::gatherOccupied(unsigned r)
 {
     // Word-granular gather: occupancy bits ascending within hi then
     // lo reproduce ascending node order (the shape the constructor
-    // verified). The row is config_.nodes wide — the most one
-    // rotation can visit — so plain stores suffice; the result is
-    // cached until the next occupancy change.
-    SlotVisit *row = batchCache_.data() + std::size_t(r) * config_.nodes;
+    // checked). batch_ holds config_.nodes entries — the most one
+    // rotation can visit — so plain stores suffice.
     const std::uint64_t *hi = rotMaskHi_.data() + std::size_t(r) * words_;
     const std::uint64_t *lo = rotMaskLo_.data() + std::size_t(r) * words_;
     const NodeId *vn = visitNode_.data() + std::size_t(r) * nslots_;
-    SlotVisit *out = row;
+    SlotVisit *out = batch_.data();
     for (unsigned w = 0; w < words_; ++w) {
         std::uint64_t m = occAny_[w] & hi[w];
         while (m) {
@@ -480,86 +313,110 @@ SlotRing::rebuildBatchRow(unsigned r)
             *out++ = SlotVisit{vn[s], s};
         }
     }
-    std::uint32_t len = static_cast<std::uint32_t>(out - row);
-    batchLen_[r] = len;
-    batchEpoch_[r] = occEpoch_;
-    return len;
+    return out;
 }
 
-void
-SlotRing::scheduledTick()
+inline void
+SlotRing::tick(Count cycle)
 {
-    bool empty_ring = true;
-    for (unsigned w = 0; w < words_; ++w) {
-        if (occAny_[w]) {
-            empty_ring = false;
-            break;
-        }
-    }
+    // Slot occupancy accrues into the utilization integral lazily —
+    // a closed form between occupancy changes (see accrueOccupancy) —
+    // so advancing time is all this cycle pays. Time passes during a
+    // stall, so the integral accrues there too.
+    ++cycles_;
 
-    if (empty_ring && pendingCount_ == 0 &&
-        trackedCount_ == config_.nodes) {
-        // Fully quiescent: no message on the ring and every node both
-        // opted into idle skipping and reports nothing to insert. No
-        // onSlot call this cycle could do anything.
-        if (++rot_ == stages_)
-            rot_ = 0;
-        ++rotations_;
-        // With a fault injector attached the seeded schedule is a
-        // function of (cycle, slot), so every cycle must still be
-        // presented to it — no jumping.
-        if (!injector_)
+    if (fastDispatch_) {
+        // The bitmap dispatch cycle, inline in tick() so it fuses
+        // with the batched process() loop: nothing pending, no
+        // injector, scheduled path (see updateFastDispatch) — so only
+        // occupied slots are visited, and the cycle's work reduces to
+        // the incrementally maintained occupancy counters plus one
+        // batched dispatch.
+        unsigned occ = occTotal_;
+        if (occ == 0) {
+            advanceRotation();
             maybeFastForward();
+            return;
+        }
+        const SlotVisit *begin = batch_.data();
+        const SlotVisit *end;
+        // Saturated shortcut: a completely full ring means the
+        // precomputed span already is the batch, without touching a
+        // mask word.
+        if (occ == nslots_) {
+            begin = visits_.data() + visitHead_[rot_];
+            end = visits_.data() + visitHead_[rot_ + 1];
+        } else {
+            end = gatherOccupied(rot_);
+        }
+        if (begin != end)
+            client_->onVisits(*this, begin, end);
+        advanceRotation();
         return;
     }
 
-    unsigned r = rot_;
-    if (uniformClient_) {
-        batchedTick(r);
-    } else {
-        const SlotVisit *v = visits_.data() + visitHead_[r];
-        const SlotVisit *end = visits_.data() + visitHead_[r + 1];
-        for (; v != end; ++v) {
-            // A tracked node with nothing pending only reacts to
-            // occupied slots; untracked nodes are always visited.
-            if (!bitTest(occAny_, v->slot) && tracked_[v->node] &&
-                !pending_[v->node])
-                continue;
-            SlotHandle handle(*this, v->slot, v->node);
-            clients_[v->node]->onSlot(handle);
+    if (injector_) {
+        if (stallRemaining_ == 0)
+            stallRemaining_ = injector_->stallFor(cycle);
+        if (stallRemaining_ > 0) {
+            // The pipeline holds: nothing moves, nobody is visited.
+            --stallRemaining_;
+            return;
         }
+        injectFaults(cycle);
     }
 
-    if (++rot_ == stages_)
-        rot_ = 0;
-    ++rotations_;
+    if (config_.referenceTickPath)
+        referenceTick();
+    else
+        batchedTick();
+    advanceRotation();
 }
 
 void
-SlotRing::batchedTick(unsigned r)
+SlotRing::referenceTick()
 {
-    // Gather the rotation's live visits, then hand them to the single
-    // client in one call. Gathering before dispatch is equivalent to
-    // the lazy walk because a handler may only mutate the visited
-    // slot and the visited node's own pending flags (the onVisits
-    // contract), and no slot or node appears twice in one rotation.
-    //
-    // This is the uniform-client path *outside* fastDispatch_ — some
-    // node must be visited even on an empty slot (untracked or
-    // pending), or the mask shape failed verification — so it gathers
-    // with the same per-visit predicate the lazy walk uses; the
-    // word-granular bitmap gather lives in fastTick().
+    unsigned stages = stages_;
+
+    // The pattern has advanced rot_ stages, so the pattern offset now
+    // at physical position p is (p - rot_) mod stages. A node sees a
+    // slot when that offset is the slot's header stage. Without
+    // stalls, rot_ == cycle % stages.
+    for (NodeId n = 0; n < config_.nodes; ++n) {
+        unsigned pos = nodePos_[n];
+        unsigned off = (pos + stages - rot_) % stages;
+        int slot_idx = headerSlot_[off];
+        if (slot_idx < 0)
+            continue;
+        SlotHandle handle(*this, static_cast<unsigned>(slot_idx), n);
+        client_->onSlot(handle);
+    }
+}
+
+void
+SlotRing::batchedTick()
+{
+    // Off the bitmap dispatch, some node is pending or an injector is
+    // attached. Gather the rotation's live visits — occupied slots and
+    // every slot at a pending node — then hand them to the client in
+    // one call. Gathering before dispatch is equivalent to a lazy walk
+    // because a handler may only mutate the visited slot and the
+    // visited node's own pending flags (the onVisits contract), and no
+    // slot or node appears twice in one rotation. A quiescent ring
+    // reaches here only under an injector, which must see every cycle,
+    // so it never fast-forwards.
+    if (occTotal_ == 0 && pendingCount_ == 0)
+        return;
     SlotVisit *out = batch_.data();
-    const SlotVisit *v = visits_.data() + visitHead_[r];
-    const SlotVisit *vend = visits_.data() + visitHead_[r + 1];
+    const SlotVisit *v = visits_.data() + visitHead_[rot_];
+    const SlotVisit *vend = visits_.data() + visitHead_[rot_ + 1];
     for (; v != vend; ++v) {
-        if (!bitTest(occAny_, v->slot) && tracked_[v->node] &&
-            !pending_[v->node])
+        if (!bitTest(occAny_, v->slot) && !pending_[v->node])
             continue;
         *out++ = *v;
     }
     if (out != batch_.data())
-        uniformClient_->onVisits(*this, batch_.data(), out);
+        client_->onVisits(*this, batch_.data(), out);
 }
 
 void

@@ -21,16 +21,16 @@
  * form: per-type occupancy and corruption bitmaps plus a dense message
  * array on the hot side, traversal-audit fields on a cold side touched
  * only by insert/remove/monitor paths. A visitation table precomputed
- * per rotation offset replaces the per-node modulo scan; on a
- * saturated ring the occupancy bitmap is ANDed with per-rotation slot
- * masks so only live visits are even enumerated, and the whole
- * rotation is handed to the (single, devirtualized) client in one
- * RingClient::onVisits call. Nodes that opted in via enableIdleSkip()
- * are only visited when the arriving slot is occupied or the node
- * flagged pending work via notifyPending(), and a fully quiescent ring
- * fast-forwards across idle cycles in O(1). The original scan loop is
- * retained behind RingConfig::referenceTickPath and the two are held
- * byte-identical by tests/ring/golden_equivalence_test.cpp.
+ * per rotation offset replaces the per-node modulo scan; the occupancy
+ * bitmap is ANDed with per-rotation slot masks so only live visits are
+ * even enumerated, and the whole rotation is handed to the ring's one
+ * client in one RingClient::onVisits call. That client is a pure
+ * reactor, so a node is visited only when the arriving slot is
+ * occupied or the node flagged pending work via notifyPending(), and a
+ * fully quiescent ring fast-forwards across idle cycles in O(1). The
+ * original scan loop is retained behind RingConfig::referenceTickPath
+ * and the two are held byte-identical by
+ * tests/ring/golden_equivalence_test.cpp.
  */
 
 #ifndef RINGSIM_RING_NETWORK_HPP
@@ -134,22 +134,30 @@ class SlotHandle
     bool freedHere_ = false;
 };
 
-/** Interface implemented by each node's protocol controller. */
+/**
+ * The protocol controller behind every node's interface. One client
+ * serves the whole ring (SlotRing::setClient), and it must be a pure
+ * reactor: a visit to an empty slot at a node with nothing pending
+ * does nothing (no state change, no statistics). The ring skips those
+ * visits, so a client reports work it wants to insert through
+ * SlotRing::notifyPending()/clearPending(); otherwise it would never
+ * be offered an empty slot.
+ */
 class RingClient
 {
   public:
     virtual ~RingClient() = default;
 
-    /** A slot header reached this node's interface. */
+    /** A slot header reached slot.node()'s interface. */
     virtual void onSlot(SlotHandle &slot) = 0;
 
     /**
-     * Batch hook: all live visits of one rotation, in the same order
-     * the per-visit path would dispatch them (ascending node). Called
-     * instead of per-visit onSlot when one client object serves every
-     * node (setClient with the same object for all nodes); the default
-     * implementation loops over onSlot, so implementing it is an
-     * optimization, never a requirement.
+     * All live visits of one rotation (every occupied slot, and every
+     * slot at a pending node), in the order the reference scan
+     * dispatches them (ascending node). The schedule-driven tick
+     * always dispatches through this hook; the default implementation
+     * loops over onSlot, so overriding it is an optimization, never a
+     * requirement.
      *
      * Contract for implementers (see DESIGN.md section 11): the visit
      * list is gathered before the first dispatch, so a handler must
@@ -157,7 +165,7 @@ class RingClient
      * slot via the SlotHandle, and its own node's pending flags via
      * notifyPending()/clearPending(). It must not call setClient() or
      * touch another node's pending flags synchronously; cross-node
-     * effects go through kernel events, exactly as the per-visit path
+     * effects go through kernel events, exactly as the reference scan
      * already requires.
      */
     virtual void onVisits(SlotRing &ring, const SlotVisit *begin,
@@ -166,7 +174,7 @@ class RingClient
 
 /**
  * The slotted ring proper: owns the slots, advances them every clock,
- * and dispatches slot headers to the registered clients.
+ * and dispatches slot headers to its client.
  */
 class SlotRing
 {
@@ -177,28 +185,16 @@ class SlotRing
      */
     SlotRing(sim::Kernel &kernel, const RingConfig &config);
 
-    /** Attach the protocol controller for node @p n (required). */
-    void setClient(NodeId n, RingClient &client);
-
     /**
-     * Declare that node @p n's client is a pure reactor: its onSlot()
-     * has no effect when the slot is empty and the node has no pending
-     * work (it neither mutates state nor gathers statistics on such
-     * visits). The ring then skips those calls, and once every node
-     * has opted in it may fast-forward across fully idle stretches.
-     *
-     * A client that opts in MUST call notifyPending()/clearPending()
-     * as work to insert appears and drains; otherwise it would never
-     * be offered an empty slot. setClient() revokes the opt-in for
-     * that node (the new client has not promised anything).
+     * Attach the client that serves every node (required before
+     * start()). Borrowed; must stay alive while the ring runs.
      */
-    void enableIdleSkip(NodeId n);
+    void setClient(RingClient &client) { client_ = &client; }
 
     /**
      * Node @p n has work it wants to put on the ring: visit it on
      * every slot (so it can be offered empty ones) until
-     * clearPending(). Idempotent; meaningful only after
-     * enableIdleSkip(n).
+     * clearPending(). Idempotent.
      */
     void notifyPending(NodeId n);
 
@@ -294,19 +290,17 @@ class SlotRing
      */
     [[gnu::always_inline]] void tick(Count cycle);
     void referenceTick();
-    /** Regather rotation @p r's batch into its cache row (stamping
-     *  it with the current epoch) and return the row length. Off the
-     *  steady path: runs once per occupancy change per rotation. */
-    std::uint32_t rebuildBatchRow(unsigned r);
-    /** General (guarded) schedule-driven cycle. */
-    void scheduledTick();
-    /** Gather one rotation's live visits and batch-dispatch them. */
-    void batchedTick(unsigned r);
+    /** Gather rotation @p r's occupied-slot visits into batch_ and
+     *  return the end of the gathered run. */
+    const SlotVisit *gatherOccupied(unsigned r);
+    /** Gather the live visits of rot_ (occupied slots and pending
+     *  nodes) and batch-dispatch them; the off-bitmap path. */
+    void batchedTick();
     void injectFaults(Count cycle);
 
     /**
      * From a fully quiescent tick (no occupied slot, no pending node,
-     * every node tracked, no injector), jump the ticker, rot_, cycles_
+     * no injector), jump the ticker, rot_, cycles_
      * and rotations_ across the idle gap up to — but never onto — the
      * next foreign kernel event, in O(1). The occupancy integrals need
      * no adjustment: every maintained count is zero across the gap.
@@ -315,6 +309,12 @@ class SlotRing
 
     static unsigned typeIndex(SlotType t) {
         return static_cast<unsigned>(t);
+    }
+
+    void advanceRotation() {
+        if (++rot_ == stages_)
+            rot_ = 0;
+        ++rotations_;
     }
 
     // --- Hot slot state: structure-of-arrays bitmaps -----------------
@@ -363,24 +363,22 @@ class SlotRing
                    (cycles_ - occAccruedAt_);
     }
 
-    /** Recompute uniformClient_ after a setClient(). */
-    void refreshUniformClient();
-
     /**
      * Recompute fastDispatch_: true when the per-cycle guards of the
-     * bitmap dispatch all hold — one uniform client, verified
-     * rotation masks, every node tracked, nothing pending. Folding
-     * them into one flag (maintained at the rare transitions) keeps
-     * the tick preamble to a single predictable branch.
+     * bitmap dispatch all hold — nothing pending, no injector, not the
+     * reference path. Folding them into one flag (maintained at the
+     * rare transitions) keeps the tick preamble to a single
+     * predictable branch.
      */
     void updateFastDispatch();
 
     /**
      * The ring's clock, with the per-cycle handler devirtualized:
-     * process() repeats sim::Ticker's schedule/consume protocol but
-     * calls SlotRing::tick directly, so the batched cycle loop and
-     * the fast-dispatch tick body inline into one frame instead of
-     * paying a std::function dispatch per ring cycle.
+     * process() runs back-to-back cycles in one kernel dispatch
+     * (Kernel::phantomSchedule + Kernel::consumeIfNext) and calls
+     * SlotRing::tick directly, so the cycle loop and the
+     * fast-dispatch tick body inline into one frame instead of paying
+     * a std::function dispatch per ring cycle.
      */
     class TickEvent final : public sim::Ticker
     {
@@ -432,11 +430,9 @@ class SlotRing
     /** headerSlot_[stage offset] = slot index whose header sits there,
      *  or -1 for a non-header stage. */
     std::vector<int> headerSlot_;
-    /** nodeAtPos_[stage] = node anchored at that stage, or invalid. */
+    /** nodePos_[n] = stage at which node n is anchored. */
     std::vector<NodeId> nodePos_;
-    std::vector<RingClient *> clients_;
-    /** The single client serving every node, or null if mixed. */
-    RingClient *uniformClient_ = nullptr;
+    RingClient *client_ = nullptr;
 
     /**
      * Visitation schedule: visits_[visitHead_[r] .. visitHead_[r+1])
@@ -456,15 +452,13 @@ class SlotRing
      * one. rotMaskHi_/rotMaskLo_ hold those two segments' slot bits
      * (words_ words per rotation), so iterating set bits of
      * (occAny & hi) ascending then (occAny & lo) ascending reproduces
-     * node order exactly. masksValid_ is set only after the
-     * constructor has verified that two-segment shape for every
-     * rotation; otherwise the gather falls back to the schedule walk.
+     * node order exactly. The constructor checks that shape for
+     * every rotation.
      */
     std::vector<std::uint64_t> rotMaskHi_;
     std::vector<std::uint64_t> rotMaskLo_;
     /** visitNode_[r * nslots_ + slot] = node visited, per rotation. */
     std::vector<NodeId> visitNode_;
-    bool masksValid_ = false;
     /** See updateFastDispatch(). */
     bool fastDispatch_ = false;
 
@@ -473,28 +467,8 @@ class SlotRing
      *  loops write through raw pointers with no vector bookkeeping. */
     std::vector<SlotVisit> batch_;
 
-    /**
-     * Per-rotation gather cache. The gathered batch of rotation r is
-     * a pure function of (occupancy bitmap, r), and the bitmap only
-     * changes on insert/remove/drop — which bump occEpoch_. A
-     * rotation whose stamp matches the epoch replays its cached batch
-     * (one compare), so a ring whose population changes rarely — or,
-     * as in the saturated benchmarks, not at all — regathers each
-     * rotation once per change instead of once per lap.
-     * batchCache_ rows are config_.nodes wide, indexed by rotation.
-     */
-    std::vector<SlotVisit> batchCache_;
-    std::vector<std::uint32_t> batchLen_;
-    std::vector<std::uint64_t> batchEpoch_;
-    /** Bumped on every occupancy-bitmap mutation; starts at 1 so the
-     *  zero-initialized stamps are invalid. */
-    std::uint64_t occEpoch_ = 1;
-
-    /** tracked_[n]: node n opted into idle skipping (enableIdleSkip). */
-    std::vector<std::uint8_t> tracked_;
-    /** pending_[n]: tracked node n wants to insert (notifyPending). */
+    /** pending_[n]: node n wants to insert (notifyPending). */
     std::vector<std::uint8_t> pending_;
-    unsigned trackedCount_ = 0;
     unsigned pendingCount_ = 0;
 
     fault::FaultInjector *injector_ = nullptr;

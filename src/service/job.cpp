@@ -396,8 +396,7 @@ workloadFor(const JobSpec &spec)
 {
     trace::WorkloadConfig wl =
         trace::workloadPreset(spec.benchmark, spec.procs);
-    wl.dataRefsPerProc = spec.fast ? spec.refs / 4 : spec.refs;
-    wl.seed = spec.seed;
+    figureOptionsFor(spec).apply(wl);
     return wl;
 }
 
@@ -493,12 +492,7 @@ executeModel(const JobSpec &spec)
 util::JsonValue
 executeSweep(const JobSpec &spec, unsigned sweep_jobs)
 {
-    figures::FigureOptions opt;
-    opt.refs = spec.refs;
-    opt.seed = spec.seed;
-    opt.fast = spec.fast;
-    opt.jobs = sweep_jobs;
-    opt.faults = spec.faults;
+    figures::FigureOptions opt = figureOptionsFor(spec, sweep_jobs);
     if (spec.sweepPart >= 0) {
         // One block of the figure: the rows travel back as strings so
         // the coordinator's reassembly is a pure concatenation — no
@@ -573,6 +567,18 @@ executeSleep(const JobSpec &spec)
 
 } // namespace
 
+figures::FigureOptions
+figureOptionsFor(const JobSpec &spec, unsigned sweep_jobs)
+{
+    figures::FigureOptions opt;
+    opt.refs = spec.refs;
+    opt.seed = spec.seed;
+    opt.fast = spec.fast;
+    opt.jobs = sweep_jobs;
+    opt.faults = spec.faults;
+    return opt;
+}
+
 util::JsonValue
 executeJob(const JobSpec &spec, unsigned sweep_jobs)
 {
@@ -612,12 +618,7 @@ executeDegraded(const JobSpec &spec, unsigned sweep_jobs)
         if (spec.sweepPart >= 0)
             throw std::runtime_error(
                 "sweep parts have no degraded tier");
-        figures::FigureOptions opt;
-        opt.refs = spec.refs;
-        opt.seed = spec.seed;
-        opt.fast = spec.fast;
-        opt.jobs = sweep_jobs;
-        opt.faults = spec.faults;
+        figures::FigureOptions opt = figureOptionsFor(spec, sweep_jobs);
         opt.modelOnly = true;
         std::string text = figures::renderFigure(
             spec.figure, opt, spec.csv, spec.fig6Cholesky);

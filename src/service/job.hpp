@@ -144,6 +144,14 @@ struct JobSpec
 };
 
 /**
+ * The figure options @p spec names (refs, seed, fast, faults) with
+ * @p sweep_jobs sweep workers. Every job kind maps its sizing fields
+ * through here, so FigureOptions::apply alone owns the `--fast` rule.
+ */
+figures::FigureOptions figureOptionsFor(const JobSpec &spec,
+                                        unsigned sweep_jobs = 0);
+
+/**
  * Execute @p spec synchronously on the calling thread and return the
  * result object ({"kind": ..., ...}). @p sweep_jobs is the internal
  * fan-out used by sweep jobs. Throws std::runtime_error on failure.

@@ -476,30 +476,10 @@ Ticker::fastForward(Count skip)
 void
 Ticker::process()
 {
-    if (!batching_) {
-        Count this_cycle = cycle_++;
-        // Reschedule before the handler so the handler may stop() us.
-        kernel_.schedule(*this, kernel_.now() + period_);
-        handler_(this_cycle);
-        return;
-    }
-    for (;;) {
-        Count this_cycle = cycle_++;
-        // Reschedule before the handler so the handler may stop() us.
-        // The phantom variant defers the wheel insertion, which the
-        // self-consume below usually makes unnecessary altogether.
-        kernel_.phantomSchedule(*this, kernel_.now() + period_);
-        handler_(this_cycle);
-        // Batched self-consume: if the firing we just scheduled is the
-        // globally next one the run loop would pick anyway, take it
-        // here and loop, skipping a full dispatch round-trip. The
-        // handler may have stopped us (not scheduled), fast-forwarded
-        // us (consume then fires at the jumped tick), or scheduled
-        // other work due first (consume refuses; the run loop takes
-        // over) — in every case the event stream is unchanged.
-        if (!kernel_.consumeIfNext(*this))
-            return;
-    }
+    Count this_cycle = cycle_++;
+    // Reschedule before the handler so the handler may stop() us.
+    kernel_.schedule(*this, kernel_.now() + period_);
+    handler_(this_cycle);
 }
 
 } // namespace ringsim::sim

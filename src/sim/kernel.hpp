@@ -151,11 +151,6 @@ class Kernel
      */
     void schedule(Event &event, Tick when);
 
-    /** Schedule a reusable event @p delta ticks from now. */
-    void scheduleIn(Event &event, Tick delta) {
-        schedule(event, now_ + delta);
-    }
-
     /** Post a one-shot callable at absolute time @p when (>= now). */
     template <typename F>
     void post(Tick when, F fn) {
@@ -220,8 +215,8 @@ class Kernel
      * run() bound, with no stop() requested — consume it: remove it
      * from the queue, advance now() to its tick, and count it as
      * processed, WITHOUT invoking process(). Returns true on
-     * consumption; the caller (the event's own process(), typically a
-     * batched Ticker) then performs the firing's work itself.
+     * consumption; the caller (the event's own process(), such as the
+     * ring's batched ticker) then performs the firing's work itself.
      *
      * This is the saturated-path counterpart of Ticker::fastForward:
      * a self-rescheduling component that just ran can keep running
@@ -257,12 +252,12 @@ class Kernel
      * no other kernel API can tell the difference. The payoff: a
      * consumeIfNext() of the same event while it is still the only
      * pending one collapses the schedule/consume round-trip to a few
-     * flag writes — the batched Ticker's per-cycle kernel cost.
+     * flag writes — the batched ring ticker's per-cycle kernel cost.
      * At most one phantom exists; scheduling a second materializes
      * the first. Far-horizon times fall back to a plain schedule().
      *
      * Inline: together with the consumeIfNext() fast path this is the
-     * entire per-cycle kernel cost of a batched Ticker, so both
+     * entire per-cycle kernel cost of a batched ticker, so both
      * common paths live in the header.
      */
     void phantomSchedule(Event &event, Tick when) {
@@ -437,9 +432,12 @@ class Ticker : public Event
     /**
      * For subclasses that override process() to call their target
      * directly instead of through the std::function (one indirect
-     * call per cycle matters at ring rates). Such overrides must
-     * replicate the schedule/consume protocol of Ticker::process
-     * exactly; handler_ stays empty.
+     * call per cycle matters at ring rates); handler_ stays empty.
+     * An override must reschedule before running its cycle, as
+     * Ticker::process does, so the cycle may stop() or fastForward()
+     * the ticker; it may run back-to-back cycles in one dispatch via
+     * Kernel::phantomSchedule and Kernel::consumeIfNext (the ring's
+     * TickEvent does).
      */
     Ticker(Kernel &kernel, Tick period);
 
@@ -468,15 +466,6 @@ class Ticker : public Event
     /** Index of the next cycle to fire. */
     Count cycle() const { return cycle_; }
 
-    /**
-     * Let process() consume back-to-back firings in one kernel
-     * dispatch via Kernel::consumeIfNext. Opt-in because it holds one
-     * process() frame on the stack across the whole batch; the event
-     * stream (firing order, times, seq assignment, stats().processed)
-     * is identical either way.
-     */
-    void enableBatching() { batching_ = true; }
-
     void process() override;
 
   protected:
@@ -486,7 +475,6 @@ class Ticker : public Event
     Kernel &kernel_;
     Tick period_;
     Count cycle_ = 0;
-    bool batching_ = false;
     std::function<void(Count)> handler_;
 };
 

@@ -146,6 +146,7 @@ TEST(FaultInjector, BudgetCapsInjectedFaults)
 // Ring-level fault semantics.
 // ---------------------------------------------------------------
 
+/** The ring's one client: runs node n's hook on each visit to n. */
 class ScriptClient : public ring::RingClient
 {
   public:
@@ -153,27 +154,29 @@ class ScriptClient : public ring::RingClient
 
     void onSlot(ring::SlotHandle &slot) override
     {
-        if (hook)
+        if (Hook &hook = hooks[slot.node()])
             hook(slot);
     }
 
-    Hook hook;
+    std::vector<Hook> hooks = std::vector<Hook>(8);
 };
 
 struct RingRig
 {
     sim::Kernel kernel;
     ring::RingConfig config;
+    ScriptClient client;
     std::unique_ptr<ring::SlotRing> net;
-    std::vector<ScriptClient> clients;
 
     RingRig()
     {
         config.nodes = 8;
         net = std::make_unique<ring::SlotRing>(kernel, config);
-        clients.resize(8);
+        net->setClient(client);
+        // The hooks insert into empty slots, so every node is pending
+        // and sees every slot.
         for (NodeId n = 0; n < 8; ++n)
-            net->setClient(n, clients[n]);
+            net->notifyPending(n);
     }
 };
 
@@ -187,7 +190,7 @@ TEST(RingFaults, CorruptionFlagsSlotForNextNode)
 
     bool inserted = false;
     bool saw_corrupt = false;
-    rig.clients[1].hook = [&](ring::SlotHandle &slot) {
+    rig.client.hooks[1] = [&](ring::SlotHandle &slot) {
         if (!inserted && slot.type() == ring::SlotType::Block) {
             ring::RingMessage msg;
             msg.src = 1;
@@ -198,7 +201,7 @@ TEST(RingFaults, CorruptionFlagsSlotForNextNode)
         }
     };
     for (NodeId n = 2; n < 8; ++n) {
-        rig.clients[n].hook = [&](ring::SlotHandle &slot) {
+        rig.client.hooks[n] = [&](ring::SlotHandle &slot) {
             if (slot.occupied() && slot.corrupted()) {
                 saw_corrupt = true;
                 slot.remove();
@@ -223,7 +226,7 @@ TEST(RingFaults, DropErasesMessage)
 
     bool inserted = false;
     bool delivered = false;
-    rig.clients[1].hook = [&](ring::SlotHandle &slot) {
+    rig.client.hooks[1] = [&](ring::SlotHandle &slot) {
         if (!inserted && slot.type() == ring::SlotType::Block) {
             ring::RingMessage msg;
             msg.src = 1;
@@ -233,7 +236,7 @@ TEST(RingFaults, DropErasesMessage)
             inserted = true;
         }
     };
-    rig.clients[5].hook = [&](ring::SlotHandle &slot) {
+    rig.client.hooks[5] = [&](ring::SlotHandle &slot) {
         if (slot.occupied() && slot.message().dst == 5) {
             slot.remove();
             delivered = true;
@@ -258,7 +261,7 @@ TEST(RingFaults, StallsDelayDeliveryWithoutLoss)
             rig.net->setFaultInjector(inj);
         bool inserted = false;
         Tick delivered = 0;
-        rig.clients[1].hook = [&](ring::SlotHandle &slot) {
+        rig.client.hooks[1] = [&](ring::SlotHandle &slot) {
             if (!inserted && slot.type() == ring::SlotType::Block) {
                 ring::RingMessage msg;
                 msg.src = 1;
@@ -268,7 +271,7 @@ TEST(RingFaults, StallsDelayDeliveryWithoutLoss)
                 inserted = true;
             }
         };
-        rig.clients[5].hook = [&](ring::SlotHandle &slot) {
+        rig.client.hooks[5] = [&](ring::SlotHandle &slot) {
             if (slot.occupied() && slot.message().dst == 5 &&
                 !delivered) {
                 slot.remove();
@@ -307,7 +310,7 @@ TEST(RingAudit, LateRemovalReportsTraversalOverrun)
 
     bool inserted = false;
     unsigned passes = 0;
-    rig.clients[1].hook = [&](ring::SlotHandle &slot) {
+    rig.client.hooks[1] = [&](ring::SlotHandle &slot) {
         if (!inserted && slot.type() == ring::SlotType::Block) {
             ring::RingMessage msg;
             msg.src = 1;
@@ -318,7 +321,7 @@ TEST(RingAudit, LateRemovalReportsTraversalOverrun)
             inserted = true;
         }
     };
-    rig.clients[5].hook = [&](ring::SlotHandle &slot) {
+    rig.client.hooks[5] = [&](ring::SlotHandle &slot) {
         if (slot.occupied() && slot.message().dst == 5) {
             // A buggy interface: lets its message pass once, removes
             // it on the second traversal.
@@ -349,7 +352,7 @@ TEST(RingAudit, TimelyRemovalIsClean)
     rig.net->setMonitor(&monitor);
 
     bool inserted = false;
-    rig.clients[1].hook = [&](ring::SlotHandle &slot) {
+    rig.client.hooks[1] = [&](ring::SlotHandle &slot) {
         if (!inserted && slot.type() == ring::SlotType::Block) {
             ring::RingMessage msg;
             msg.src = 1;
@@ -359,7 +362,7 @@ TEST(RingAudit, TimelyRemovalIsClean)
             inserted = true;
         }
     };
-    rig.clients[5].hook = [&](ring::SlotHandle &slot) {
+    rig.client.hooks[5] = [&](ring::SlotHandle &slot) {
         if (slot.occupied() && slot.message().dst == 5)
             slot.remove();
     };

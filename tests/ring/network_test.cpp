@@ -16,7 +16,7 @@
 namespace ringsim::ring {
 namespace {
 
-/** Scriptable client: calls the hook on every slot visit. */
+/** Scriptable ring client: runs node n's hook on each visit to n. */
 class ScriptClient : public RingClient
 {
   public:
@@ -24,11 +24,11 @@ class ScriptClient : public RingClient
 
     void onSlot(SlotHandle &slot) override
     {
-        if (hook)
+        if (Hook &hook = hooks[slot.node()])
             hook(slot);
     }
 
-    Hook hook;
+    std::vector<Hook> hooks = std::vector<Hook>(8);
 };
 
 class RingNetworkTest : public ::testing::Test
@@ -38,22 +38,24 @@ class RingNetworkTest : public ::testing::Test
     {
         config_.nodes = 8;
         ring_ = std::make_unique<SlotRing>(kernel_, config_);
-        clients_.resize(8);
+        ring_->setClient(client_);
+        // The scripts observe and fill empty slots, so every node is
+        // pending and sees every slot unless a test clears it.
         for (NodeId n = 0; n < 8; ++n)
-            ring_->setClient(n, clients_[n]);
+            ring_->notifyPending(n);
     }
 
     sim::Kernel kernel_;
     RingConfig config_;
+    ScriptClient client_;
     std::unique_ptr<SlotRing> ring_;
-    std::vector<ScriptClient> clients_;
 };
 
 TEST_F(RingNetworkTest, EveryNodeSeesEverySlotOncePerRotation)
 {
     std::vector<Count> seen(8, 0);
     for (NodeId n = 0; n < 8; ++n)
-        clients_[n].hook = [&seen, n](SlotHandle &) { ++seen[n]; };
+        client_.hooks[n] = [&seen, n](SlotHandle &) { ++seen[n]; };
     ring_->start(0);
     // One full rotation = totalStages cycles: every node sees each of
     // the 9 slots exactly once.
@@ -70,7 +72,7 @@ TEST_F(RingNetworkTest, MessageDeliveredAfterStageDistance)
     // matches the stage distance between them.
     Tick inserted = 0;
     Tick delivered = 0;
-    clients_[1].hook = [&](SlotHandle &slot) {
+    client_.hooks[1] = [&](SlotHandle &slot) {
         if (inserted == 0 && slot.type() == SlotType::Block) {
             RingMessage msg;
             msg.src = 1;
@@ -80,7 +82,7 @@ TEST_F(RingNetworkTest, MessageDeliveredAfterStageDistance)
             inserted = kernel_.now();
         }
     };
-    clients_[5].hook = [&](SlotHandle &slot) {
+    client_.hooks[5] = [&](SlotHandle &slot) {
         if (slot.occupied() && slot.message().dst == 5) {
             slot.remove();
             delivered = kernel_.now();
@@ -103,7 +105,7 @@ TEST_F(RingNetworkTest, BroadcastProbeSnoopedByAllAndReturns)
     Tick inserted = 0;
     Tick came_back = 0;
     for (NodeId n = 0; n < 8; ++n) {
-        clients_[n].hook = [&, n](SlotHandle &slot) {
+        client_.hooks[n] = [&, n](SlotHandle &slot) {
             if (n == 2 && !inserted &&
                 slot.type() == SlotType::ProbeEven) {
                 RingMessage msg;
@@ -145,7 +147,7 @@ TEST_F(RingNetworkTest, ParityRuleEnforced)
 {
     // An odd-block probe cannot enter an even probe slot.
     bool tried = false;
-    clients_[0].hook = [&](SlotHandle &slot) {
+    client_.hooks[0] = [&](SlotHandle &slot) {
         if (slot.type() == SlotType::ProbeEven && !tried) {
             tried = true;
             EXPECT_FALSE(slot.canInsert(0x30)); // block 3: odd
@@ -162,7 +164,7 @@ TEST_F(RingNetworkTest, AntiStarvationBlocksImmediateReuse)
 {
     // Section 5.0: a node may not reuse a slot it just freed.
     bool checked = false;
-    clients_[3].hook = [&](SlotHandle &slot) {
+    client_.hooks[3] = [&](SlotHandle &slot) {
         if (slot.type() != SlotType::Block)
             return;
         if (!slot.occupied()) {
@@ -194,7 +196,7 @@ TEST_F(RingNetworkTest, OccupancyTracksInsertions)
     // Keep one block slot occupied forever: block occupancy tends to
     // 1/framesOnRing.
     bool inserted = false;
-    clients_[0].hook = [&](SlotHandle &slot) {
+    client_.hooks[0] = [&](SlotHandle &slot) {
         if (!inserted && slot.type() == SlotType::Block) {
             RingMessage msg;
             msg.src = 0;
@@ -249,12 +251,13 @@ TEST(RingNetwork, AntiStarvationOffAllowsImmediateReuse)
     config.nodes = 8;
     config.antiStarvation = false;
     SlotRing ring_net(kernel, config);
-    std::vector<ScriptClient> clients(8);
+    ScriptClient client;
+    ring_net.setClient(client);
     for (NodeId n = 0; n < 8; ++n)
-        ring_net.setClient(n, clients[n]);
+        ring_net.notifyPending(n);
 
     bool checked = false;
-    clients[3].hook = [&](SlotHandle &slot) {
+    client.hooks[3] = [&](SlotHandle &slot) {
         if (slot.type() != SlotType::Block)
             return;
         if (!slot.occupied()) {
@@ -288,7 +291,7 @@ TEST_F(RingNetworkTest, ResetStatsMidRunOccupancy)
     // occupied across the reset accounts for EXACTLY one slot's worth
     // of occupancy over the post-reset window.
     bool inserted = false;
-    clients_[0].hook = [&](SlotHandle &slot) {
+    client_.hooks[0] = [&](SlotHandle &slot) {
         if (!inserted && slot.type() == SlotType::Block) {
             RingMessage msg;
             msg.src = 0;
@@ -321,17 +324,17 @@ TEST_F(RingNetworkTest, ResetStatsMidRunOccupancy)
 
 TEST_F(RingNetworkTest, IdleSkipSuppressesEmptyVisitsUntilPending)
 {
-    // Track node 6's visits: once it opts into idle skipping it is
-    // only visited for occupied slots, until notifyPending restores
-    // empty-slot offers (so it can insert).
+    // Track node 6's visits: with nothing pending it is only visited
+    // for occupied slots, until notifyPending restores empty-slot
+    // offers (so it can insert).
     Count visits = 0;
     Count empty_visits = 0;
-    clients_[6].hook = [&](SlotHandle &slot) {
+    client_.hooks[6] = [&](SlotHandle &slot) {
         ++visits;
         if (!slot.occupied())
             ++empty_visits;
     };
-    ring_->enableIdleSkip(6);
+    ring_->clearPending(6);
     ring_->start(0);
     kernel_.run(nsToTicks(100));
     EXPECT_EQ(visits, 0u) << "empty ring, no pending: never visited";
@@ -347,25 +350,12 @@ TEST_F(RingNetworkTest, IdleSkipSuppressesEmptyVisitsUntilPending)
     EXPECT_EQ(visits, at_clear) << "clearPending stops the offers";
 }
 
-TEST_F(RingNetworkTest, SetClientRevokesIdleSkip)
-{
-    ring_->enableIdleSkip(4);
-    ring_->setClient(4, clients_[4]);
-    Count visits = 0;
-    clients_[4].hook = [&](SlotHandle &) { ++visits; };
-    ring_->start(0);
-    kernel_.run(nsToTicks(100));
-    ring_->stop();
-    EXPECT_GT(visits, 0u)
-        << "a freshly attached client has not opted in";
-}
-
 TEST_F(RingNetworkTest, QuiescentRingFastForwardsInsideRunBound)
 {
-    // Every node tracked + empty ring: the run degenerates to O(1)
+    // Nothing pending + empty ring: the run degenerates to O(1)
     // kernel events while the cycle count still covers the full span.
     for (NodeId n = 0; n < 8; ++n)
-        ring_->enableIdleSkip(n);
+        ring_->clearPending(n);
     ring_->start(0);
     Count before = kernel_.stats().processed;
     kernel_.run(2000 * config_.clockPeriod);
@@ -382,11 +372,11 @@ TEST_F(RingNetworkTest, FastForwardWakesExactlyForPostedWork)
     // resumes cycle-by-cycle so the woken node can insert at exactly
     // the time the cycle-accurate path would have given it.
     for (NodeId n = 0; n < 8; ++n)
-        ring_->enableIdleSkip(n);
+        ring_->clearPending(n);
     bool want_insert = false;
     Tick inserted = 0;
     Tick delivered = 0;
-    clients_[2].hook = [&](SlotHandle &slot) {
+    client_.hooks[2] = [&](SlotHandle &slot) {
         if (slot.occupied() && slot.message().dst == 2) {
             slot.remove();
             delivered = kernel_.now();
@@ -436,18 +426,17 @@ TEST_F(RingNetworkTest, ReferencePathMatchesFastPathCycleForCycle)
         config.nodes = 8;
         config.referenceTickPath = reference;
         SlotRing ring_net(kernel, config);
-        std::vector<ScriptClient> clients(8);
+        ScriptClient client;
+        ring_net.setClient(client);
         // Nodes 1 and 5 volley a block message back and forth with an
-        // off-grid think time between volleys; everyone idle-skips, so
-        // the fast path interleaves skipped visits and fast-forwards
-        // with real work.
+        // off-grid think time between volleys; idle nodes are skipped,
+        // so the fast path interleaves skipped visits and
+        // fast-forwards with real work.
         std::vector<Tick> deliveries;
         std::array<bool, 8> want_insert{};
         int volleys = 5;
         for (NodeId n = 0; n < 8; ++n) {
-            ring_net.setClient(n, clients[n]);
-            ring_net.enableIdleSkip(n);
-            clients[n].hook = [&, n](SlotHandle &slot) {
+            client.hooks[n] = [&, n](SlotHandle &slot) {
                 if (slot.occupied()) {
                     if (slot.message().dst != n)
                         return;
@@ -488,6 +477,34 @@ TEST_F(RingNetworkTest, ReferencePathMatchesFastPathCycleForCycle)
     EXPECT_EQ(std::get<1>(ref), std::get<1>(fast));
     EXPECT_EQ(std::get<2>(ref), std::get<2>(fast));
     EXPECT_EQ(std::get<0>(ref).size(), 5u);
+}
+
+TEST(RingNetwork, RotationMasksHoldOnEveryGeometry)
+{
+    // The bitmap gather reproduces node order only if each rotation's
+    // visits form two ascending slot-index segments; the constructor
+    // panics naming the geometry otherwise. Build every ring of 1-128
+    // nodes, 1-6 stages per node, 8-128 bit links and 8-128 byte
+    // blocks.
+    sim::Kernel kernel;
+    unsigned built = 0;
+    for (unsigned nodes = 1; nodes <= 128; ++nodes) {
+        for (unsigned per_node = 1; per_node <= 6; ++per_node) {
+            for (unsigned link : {8u, 16u, 32u, 64u, 128u}) {
+                for (std::size_t block : {8u, 16u, 32u, 64u, 128u}) {
+                    RingConfig config;
+                    config.nodes = nodes;
+                    config.minStagesPerNode = per_node;
+                    config.allowNonPaperScale = true;
+                    config.frame.linkBits = link;
+                    config.frame.blockBytes = block;
+                    SlotRing ring_net(kernel, config);
+                    ++built;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(built, 19'200u);
 }
 
 TEST(RingNetworkDeathTest, StartWithoutClientsPanics)

@@ -70,7 +70,10 @@ constexpr const char *kModelSubmit =
     "\"fast\":true}}";
 
 /** Pin both executors so the next cacheable submit stays Queued —
- *  coalescing needs the leader deterministically in flight. */
+ *  coalescing needs the leader deterministically in flight. Returns
+ *  once both sleepers run, not once they are queued: a sleeper still
+ *  queued could lose the round-robin pick to the next client's job.
+ *  (Bounded busy-wait.) */
 std::vector<std::uint64_t>
 pinExecutors(ServiceCore &core)
 {
@@ -81,6 +84,14 @@ pinExecutors(ServiceCore &core)
         EXPECT_TRUE(r.getBool("ok", false, &errors));
         ids.push_back(r.getU64("id", 0, &errors));
     }
+    for (int i = 0; i < 2000; ++i) {
+        util::JsonValue stats =
+            parse(core.handleLine("t", "{\"op\":\"statsz\"}"));
+        if (stats.getU64("running", 0, &errors) == 2)
+            return ids;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ADD_FAILURE() << "the two sleepers never both ran";
     return ids;
 }
 
