@@ -13,8 +13,9 @@ Rules (suppress a finding with a trailing `// lint: allow(<rule>)`):
       Hash iteration order is implementation-defined; iterating one in
       a result-affecting path makes runs nondeterministic across
       libstdc++ versions. Keyed lookup is fine; anything that must be
-      walked belongs in an ordered container (stats::Registry keeps an
-      insertion-ordered vector for exactly this reason).
+      walked belongs in an ordered container (service::JobTable keeps
+      its FIFOs, running ids and retention order in vectors and deques
+      and only looks records up by id, for exactly this reason).
 
   nodiscard
       Header declarations of result-returning validators and fallible

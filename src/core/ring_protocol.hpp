@@ -82,9 +82,6 @@ class RingProtocolBase : public Protocol, public ring::RingClient
     void onVisits(ring::SlotRing &ring_net, const ring::SlotVisit *begin,
                   const ring::SlotVisit *end) override;
 
-    /** Outstanding transactions (tests/assertions). */
-    size_t inFlight() const { return txns_.size(); }
-
     /**
      * Enable fault recovery: NACK handling, per-transaction retry
      * watchdogs with exponential backoff, and graceful degradation
@@ -184,9 +181,6 @@ class RingProtocolBase : public Protocol, public ring::RingClient
      * event counts as stale and null is returned.
      */
     Txn *requireTxn(std::uint64_t tag, const char *what);
-
-    /** True when fault recovery is active. */
-    bool recoveryEnabled() const { return recovery_; }
 
     sim::Kernel &kernel_;
     SystemConfig config_;

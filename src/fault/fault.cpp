@@ -80,27 +80,6 @@ FaultPlan::decide(FaultKind kind, Count cycle, unsigned slot,
     return u < rate;
 }
 
-void
-FaultStats::recordTo(stats::Registry &reg,
-                     const std::string &prefix) const
-{
-    auto rec = [&](const char *name, const stats::Counter &c) {
-        reg.record(prefix + "." + name,
-                   static_cast<double>(c.value()));
-    };
-    rec("corrupted", corrupted);
-    rec("dropped", dropped);
-    rec("stall_events", stallEvents);
-    rec("stall_cycles", stallCycles);
-    rec("nacks", nacks);
-    rec("timeouts", timeouts);
-    rec("retries", retries);
-    rec("recovered", recovered);
-    rec("fatals", fatals);
-    rec("stale_events", staleEvents);
-    rec("lost_writebacks", lostWritebacks);
-}
-
 FaultInjector::FaultInjector(const FaultConfig &config)
     : config_(config), plan_(config.seed)
 {

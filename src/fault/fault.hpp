@@ -122,9 +122,6 @@ struct FaultStats
     stats::Counter fatals;       //!< transactions that exhausted retries
     stats::Counter staleEvents;  //!< late events from superseded attempts
     stats::Counter lostWritebacks; //!< traffic-only messages lost
-
-    /** Append every counter to @p reg as "<prefix>.<name>". */
-    void recordTo(stats::Registry &reg, const std::string &prefix) const;
 };
 
 /**

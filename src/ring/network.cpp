@@ -489,15 +489,6 @@ SlotRing::totalOccupancy() const
            (static_cast<double>(cycles_) * config_.totalSlots());
 }
 
-unsigned
-SlotRing::occupiedNow() const
-{
-    unsigned c = 0;
-    for (unsigned w = 0; w < words_; ++w)
-        c += static_cast<unsigned>(std::popcount(occAny_[w]));
-    return c;
-}
-
 void
 SlotRing::resetStats()
 {

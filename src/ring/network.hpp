@@ -249,9 +249,6 @@ class SlotRing
     /** Average occupancy of all slots (the paper's ring utilization). */
     double totalOccupancy() const;
 
-    /** Slots currently occupied (for tests). */
-    unsigned occupiedNow() const;
-
     /** Which parity probe slot serves @p addr. */
     SlotType probeTypeFor(Addr addr) const;
 
@@ -334,11 +331,6 @@ class SlotRing
     void bitClear(std::vector<std::uint64_t> &bm, unsigned s) {
         bm[s >> 6] &= ~(std::uint64_t(1) << (s & 63));
     }
-
-    /** Occupied slots of type index @p t. Maintained incrementally at
-     *  insert/remove/drop (a per-cycle popcount is an out-of-line
-     *  libcall on baseline x86-64). */
-    unsigned occupiedOfType(unsigned t) const { return occCnt_[t]; }
 
     /**
      * Fold the cycles since the last occupancy change into the

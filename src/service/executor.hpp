@@ -8,8 +8,9 @@
  * own is how an admitted job's answer is produced: that is an
  * Executor. ringsim_serve runs jobs in-process (LocalExecutor);
  * ringsim_fleetd forwards them to worker daemons
- * (fleet::RemoteExecutor). Both daemons are therefore one lifecycle,
- * the one the src/verify/ schedule explorer checks.
+ * (fleet::RemoteExecutor). Both daemons are therefore one lifecycle:
+ * the JobTable (job_table.hpp) that the lifecycle checker
+ * (lifecycle_check.hpp) explores.
  */
 
 #ifndef RINGSIM_SERVICE_EXECUTOR_HPP

@@ -11,13 +11,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double
-msSince(Clock::time_point from, Clock::time_point to)
-{
-    return std::chrono::duration<double, std::milli>(to - from)
-        .count();
-}
-
 util::JsonValue
 errorResponse(const char *op, const std::string &message)
 {
@@ -29,31 +22,31 @@ errorResponse(const char *op, const std::string &message)
     return o;
 }
 
-} // namespace
-
-const char *
-jobStateName(JobState s)
+/** The error line "id = N: @p what" for @p op. */
+std::string
+idError(const char *op, std::uint64_t id, const char *what)
 {
-    switch (s) {
-      case JobState::Queued:
-        return "queued";
-      case JobState::Running:
-        return "running";
-      case JobState::Done:
-        return "done";
-      case JobState::Failed:
-        return "failed";
-      case JobState::TimedOut:
-        return "timed_out";
-      case JobState::Cancelled:
-        return "cancelled";
-    }
-    return "?";
+    return errorResponse(op, strprintf("id = %llu: %s",
+                                       static_cast<unsigned long long>(id),
+                                       what))
+        .dump();
 }
+
+/** Set each (name, count) on @p o, in order (statsz key order). */
+void
+setCounts(util::JsonValue *o,
+          std::initializer_list<std::pair<const char *, std::uint64_t>>
+              counts)
+{
+    for (const auto &[name, n] : counts)
+        o->set(name, util::JsonValue::integer(n));
+}
+
+} // namespace
 
 ServiceCore::ServiceCore(const ServiceConfig &cfg,
                          std::unique_ptr<Executor> executor)
-    : cfg_(cfg), executor_(std::move(executor)),
+    : cfg_(cfg), executor_(std::move(executor)), table_(cfg_),
       latency_hist_(0, 60'000, 600)
 {
     cfg_.validate();
@@ -94,19 +87,10 @@ ServiceCore::handleLine(const std::string &client,
 {
     util::JsonValue req;
     std::string parse_error;
-    if (!tryParseJson(line, &req, &parse_error)) {
-        core::MutexLock lock(mutex_);
-        bad_requests_.inc();
-        return errorResponse(nullptr, "bad request: " + parse_error)
-            .dump();
-    }
-    if (!req.isObject()) {
-        core::MutexLock lock(mutex_);
-        bad_requests_.inc();
-        return errorResponse(nullptr,
-                             "bad request: expected a JSON object")
-            .dump();
-    }
+    if (!tryParseJson(line, &req, &parse_error))
+        return badRequest(nullptr, "bad request: " + parse_error);
+    if (!req.isObject())
+        return badRequest(nullptr, "bad request: expected a JSON object");
     std::vector<std::string> errors;
     std::string op = req.getString("op", "", &errors);
     if (op == "ping") {
@@ -134,13 +118,9 @@ ServiceCore::handleLine(const std::string &client,
         o.set("op", util::JsonValue::string("shutdown"));
         return o.dump();
     }
-    core::MutexLock lock(mutex_);
-    bad_requests_.inc();
-    return errorResponse(nullptr,
-                         "op = '" + op +
-                             "': expected ping, submit, poll, "
-                             "cancel, statsz or shutdown")
-        .dump();
+    return badRequest(nullptr, "op = '" + op +
+                                   "': expected ping, submit, poll, "
+                                   "cancel, statsz or shutdown");
 }
 
 std::string
@@ -151,25 +131,16 @@ ServiceCore::handleSubmit(const std::string &client,
     std::string who = req.getString("client", client, &errors);
     bool wait = req.getBool("wait", false, &errors);
     const util::JsonValue *job = req.find("job");
-    if (!job) {
-        core::MutexLock lock(mutex_);
-        bad_requests_.inc();
-        return errorResponse("submit", "job = <missing>: a submit "
-                                       "needs a job object")
-            .dump();
-    }
+    if (!job)
+        return badRequest("submit",
+                          "job = <missing>: a submit needs a job object");
     JobSpec spec;
     std::string parse_error;
     if (!JobSpec::tryParse(*job, cfg_.enableTestJobs, &spec,
                            &parse_error) ||
-        !errors.empty()) {
-        core::MutexLock lock(mutex_);
-        bad_requests_.inc();
-        return errorResponse("submit", parse_error.empty()
-                                           ? errors.front()
-                                           : parse_error)
-            .dump();
-    }
+        !errors.empty())
+        return badRequest("submit", parse_error.empty() ? errors.front()
+                                                        : parse_error);
 
     std::string key;
     if (spec.cacheable()) {
@@ -183,9 +154,7 @@ ServiceCore::handleSubmit(const std::string &client,
                 std::uint64_t id;
                 {
                     core::MutexLock lock(mutex_);
-                    submitted_.inc();
-                    cache_answers_.inc();
-                    id = next_id_++;
+                    id = table_.cacheAnswer();
                 }
                 util::JsonValue o = util::JsonValue::object();
                 o.set("ok", util::JsonValue::boolean(true));
@@ -204,98 +173,29 @@ ServiceCore::handleSubmit(const std::string &client,
 
     // Admission decision under the lock; the shed/degraded responses
     // (and the degraded-model solve itself) compose outside it.
-    std::uint64_t id = 0;
-    bool shed = false;
-    bool try_degrade = false;
-    bool coalesced = false;
-    std::string coalesced_state;
-    std::size_t busy = 0;
-    std::uint64_t factor = 1;
+    const bool degradable = mayDegrade(spec);
+    JobTable::Admission adm;
     {
         core::MutexLock lock(mutex_);
-        submitted_.inc();
-        // Single-flight: an identical cacheable spec already admitted
-        // and not yet terminal answers this submit too — attach to
-        // the leader's id instead of executing twice. Consumes no
-        // admission slot, so coalescing keeps working under overload
-        // (exactly when duplicate retries pile up).
-        if (!key.empty()) {
-            auto flight = inflight_.find(key);
-            if (flight != inflight_.end()) {
-                auto leader = jobs_.find(flight->second);
-                if (leader != jobs_.end() &&
-                    (leader->second.state == JobState::Queued ||
-                     leader->second.state == JobState::Running)) {
-                    coalesced_.inc();
-                    coalesced = true;
-                    id = flight->second;
-                    coalesced_state =
-                        jobStateName(leader->second.state);
-                } else {
-                    // finishLocked erases terminal leaders; a stale
-                    // entry here means the record was evicted.
-                    inflight_.erase(flight);
-                }
-            }
-        }
-        if (coalesced) {
-            // Fall through to the wait loop (or the async response)
-            // below with the leader's id.
-        } else if (active_ >= cfg_.queueDepth) {
-            shed = true;
-            shed_.inc();
-            // Scale the hint with how many "pool drains" of work are
-            // already queued: a deeper backlog earns a longer backoff.
-            std::size_t queued = active_ - std::min<std::size_t>(
-                                               active_, pool_->jobs());
-            factor = 1 + queued / std::max(1u, pool_->jobs());
-            busy = active_;
-            if (mayDegrade(spec)) {
-                try_degrade = true;
-                id = next_id_++;
-            }
-        } else {
-            admitted_.inc();
-            ++active_;
-            id = next_id_++;
-            JobRecord rec;
-            rec.id = id;
-            rec.client = who;
-            rec.spec = spec;
-            rec.job = *job;
-            rec.key = key;
-            rec.enqueued = Clock::now();
-            jobs_.emplace(id, std::move(rec));
-
-            // Find (or open) this client's FIFO. The client set is
-            // tiny — a linear scan keeps the visit order
-            // deterministic.
-            auto it = std::find_if(queues_.begin(), queues_.end(),
-                                   [&](const ClientQueue &q) {
-                                       return q.name == who;
-                                   });
-            if (it == queues_.end()) {
-                queues_.push_back(ClientQueue{who, {}});
-                it = std::prev(queues_.end());
-            }
-            it->pending.push_back(id);
-            if (!key.empty())
-                inflight_[key] = id;
-        }
+        adm = table_.admit(who, spec, *job, key, degradable,
+                           Clock::now());
     }
+    using Outcome = JobTable::Admission::Outcome;
+    const std::uint64_t id = adm.id;
+    const bool coalesced = adm.outcome == Outcome::Coalesced;
 
-    if (shed) {
+    if (adm.outcome == Outcome::Shed) {
         // Model-tier fallback: answer in milliseconds on this
         // connection's thread instead of shedding. The estimate is
         // never cached — the exact answer should still be computed
         // (and memoized) on a calm retry.
         std::optional<util::JsonValue> estimate;
-        if (try_degrade)
+        if (degradable)
             estimate = degradedResult(spec);
         if (estimate) {
             {
                 core::MutexLock lock(mutex_);
-                degraded_.inc();
+                table_.degradedAnswer();
             }
             util::JsonValue o = util::JsonValue::object();
             o.set("ok", util::JsonValue::boolean(true));
@@ -307,11 +207,16 @@ ServiceCore::handleSubmit(const std::string &client,
             o.set("result", std::move(*estimate));
             return o.dump();
         }
+        // Scale the hint with how many "pool drains" of work are
+        // already queued: a deeper backlog earns a longer backoff.
+        std::size_t queued = adm.busy - std::min<std::size_t>(
+                                            adm.busy, pool_->jobs());
+        std::uint64_t factor = 1 + queued / std::max(1u, pool_->jobs());
         util::JsonValue o =
             errorResponse("submit",
                           strprintf("overloaded: %zu of %zu "
                                     "slots busy",
-                                    busy, cfg_.queueDepth));
+                                    adm.busy, cfg_.queueDepth));
         o.set("retry_after_ms",
               util::JsonValue::integer(cfg_.retryAfterMs * factor +
                                        retryJitter(who)));
@@ -326,9 +231,9 @@ ServiceCore::handleSubmit(const std::string &client,
         o.set("ok", util::JsonValue::boolean(true));
         o.set("op", util::JsonValue::string("submit"));
         o.set("id", util::JsonValue::integer(id));
-        o.set("state", util::JsonValue::string(
-                           coalesced ? coalesced_state.c_str()
-                                     : "queued"));
+        o.set("state", util::JsonValue::string(jobStateName(
+                           coalesced ? adm.leaderState
+                                     : JobState::Queued)));
         o.set("cached", util::JsonValue::boolean(false));
         if (coalesced)
             o.set("coalesced", util::JsonValue::boolean(true));
@@ -341,20 +246,13 @@ ServiceCore::handleSubmit(const std::string &client,
     // the pool (or the lazy watchdog declares it overdue).
     core::UniqueLock lock(mutex_);
     for (;;) {
-        reapOverdueLocked(Clock::now());
-        auto it = jobs_.find(id);
-        if (it == jobs_.end()) {
-            return errorResponse("submit",
-                                 strprintf("id = %llu: record "
-                                           "evicted before wait "
-                                           "finished",
-                                           static_cast<unsigned long
-                                                       long>(id)))
-                .dump();
-        }
-        if (it->second.state != JobState::Queued &&
-            it->second.state != JobState::Running) {
-            util::JsonValue o = jobJsonLocked(it->second);
+        reapLocked();
+        const JobRecord *rec = table_.find(id);
+        if (!rec)
+            return idError("submit", id,
+                           "record evicted before wait finished");
+        if (!inFlight(rec->state)) {
+            util::JsonValue o = jobJsonLocked(*rec);
             o.set("op", util::JsonValue::string("submit"));
             if (coalesced)
                 o.set("coalesced", util::JsonValue::boolean(true));
@@ -370,6 +268,11 @@ ServiceCore::handlePoll(const util::JsonValue &req)
 {
     std::vector<std::string> errors;
     std::uint64_t id = req.getU64("id", 0, &errors);
+    if (!errors.empty() || id == 0)
+        return badRequest("poll", errors.empty()
+                                      ? "id = 0: a poll needs the id a "
+                                        "submit returned"
+                                      : errors.front());
 
     // First pass under the lock: either render the job's state, or —
     // for the first poll of a watchdog-abandoned degradable job —
@@ -378,35 +281,18 @@ ServiceCore::handlePoll(const util::JsonValue &req)
     JobSpec degrade_spec;
     {
         core::MutexLock lock(mutex_);
-        if (!errors.empty() || id == 0) {
-            bad_requests_.inc();
-            return errorResponse("poll",
-                                 errors.empty()
-                                     ? "id = 0: a poll needs the "
-                                       "id a submit returned"
-                                     : errors.front())
-                .dump();
-        }
-        reapOverdueLocked(Clock::now());
-        auto it = jobs_.find(id);
-        if (it == jobs_.end()) {
-            return errorResponse(
-                       "poll",
-                       strprintf("id = %llu: unknown or expired job",
-                                 static_cast<unsigned long long>(id)))
-                .dump();
-        }
-        // degradeStarted claims the escalation exactly once across
-        // concurrent pollers.
-        if (it->second.state == JobState::TimedOut &&
-            mayDegrade(it->second.spec) && !it->second.degradeStarted) {
-            it->second.degradeStarted = true;
-            degrade_spec = it->second.spec;
-        } else {
-            util::JsonValue o = jobJsonLocked(it->second);
+        reapLocked();
+        const JobRecord *rec = table_.find(id);
+        if (!rec)
+            return idError("poll", id, "unknown or expired job");
+        // The claim succeeds exactly once across concurrent pollers.
+        const JobSpec *claimed = table_.claimDegrade(id);
+        if (!claimed) {
+            util::JsonValue o = jobJsonLocked(*rec);
             o.set("op", util::JsonValue::string("poll"));
             return o.dump();
         }
+        degrade_spec = *claimed;
     }
 
     // Watchdog escalation: compute the model-tier estimate outside
@@ -417,21 +303,13 @@ ServiceCore::handlePoll(const util::JsonValue &req)
         degradedResult(degrade_spec);
 
     core::MutexLock lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        return errorResponse(
-                   "poll",
-                   strprintf("id = %llu: record evicted during "
-                             "degraded escalation",
-                             static_cast<unsigned long long>(id)))
-            .dump();
-    }
-    if (estimate) {
-        degraded_.inc();
-        it->second.degraded = true;
-        it->second.result = estimate->dump();
-    }
-    util::JsonValue o = jobJsonLocked(it->second);
+    const JobRecord *rec = table_.attachDegraded(
+        id, estimate ? std::optional<std::string>(estimate->dump())
+                     : std::nullopt);
+    if (!rec)
+        return idError("poll", id,
+                       "record evicted during degraded escalation");
+    util::JsonValue o = jobJsonLocked(*rec);
     o.set("op", util::JsonValue::string("poll"));
     return o.dump();
 }
@@ -441,57 +319,36 @@ ServiceCore::handleCancel(const util::JsonValue &req)
 {
     std::vector<std::string> errors;
     std::uint64_t id = req.getU64("id", 0, &errors);
+    if (!errors.empty() || id == 0)
+        return badRequest("cancel", errors.empty()
+                                        ? "id = 0: a cancel needs the id "
+                                          "a submit returned"
+                                        : errors.front());
     core::MutexLock lock(mutex_);
-    if (!errors.empty() || id == 0) {
-        bad_requests_.inc();
-        return errorResponse("cancel",
-                             errors.empty()
-                                 ? "id = 0: a cancel needs the id a "
-                                   "submit returned"
-                                 : errors.front())
-            .dump();
-    }
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        return errorResponse("cancel",
-                             strprintf("id = %llu: unknown or "
-                                       "expired job",
-                                       static_cast<unsigned long long>(
-                                           id)))
-            .dump();
-    }
-    JobRecord &rec = it->second;
-    if (rec.state == JobState::Queued ||
-        rec.state == JobState::Running) {
-        // A queued job never runs (its pool task releases the slot
-        // when it drains); a running one is abandoned like a
-        // watchdog timeout — the thread finishes and is discarded.
-        cancelled_.inc();
-        finishLocked(rec, JobState::Cancelled, "cancelled by request");
-        done_cv_.notify_all();
-    }
-    util::JsonValue o = jobJsonLocked(rec);
+    const JobRecord *rec = table_.cancel(id);
+    if (!rec)
+        return idError("cancel", id, "unknown or expired job");
+    done_cv_.notify_all();
+    util::JsonValue o = jobJsonLocked(*rec);
     o.set("op", util::JsonValue::string("cancel"));
     return o.dump();
+}
+
+std::string
+ServiceCore::badRequest(const char *op, const std::string &message)
+{
+    {
+        core::MutexLock lock(mutex_);
+        table_.badRequest();
+    }
+    return errorResponse(op, message).dump();
 }
 
 void
 ServiceCore::clientGone(const std::string &client)
 {
     core::MutexLock lock(mutex_);
-    for (const ClientQueue &q : queues_) {
-        if (q.name != client)
-            continue;
-        for (std::uint64_t id : q.pending) {
-            auto it = jobs_.find(id);
-            if (it == jobs_.end() ||
-                it->second.state != JobState::Queued)
-                continue;
-            cancelled_.inc();
-            finishLocked(it->second, JobState::Cancelled,
-                         "cancelled: client disconnected");
-        }
-    }
+    table_.clientGone(client);
     done_cv_.notify_all();
 }
 
@@ -542,58 +399,51 @@ ServiceCore::statszSnapshot()
 {
     CacheStats cs = cache_->stats();
     core::MutexLock lock(mutex_);
-    reapOverdueLocked(Clock::now());
+    reapLocked();
+    const JobCounters &c = table_.counters();
 
     util::JsonValue o = util::JsonValue::object();
     o.set("ok", util::JsonValue::boolean(true));
     o.set("op", util::JsonValue::string("statsz"));
-    o.set("workers", util::JsonValue::integer(pool_->jobs()));
-    o.set("queue_depth", util::JsonValue::integer(cfg_.queueDepth));
-    o.set("active", util::JsonValue::integer(active_));
-    o.set("running", util::JsonValue::integer(running_.size()));
-    o.set("submitted", util::JsonValue::integer(submitted_.value()));
-    o.set("admitted", util::JsonValue::integer(admitted_.value()));
-    o.set("shed", util::JsonValue::integer(shed_.value()));
-    o.set("completed", util::JsonValue::integer(completed_.value()));
-    o.set("failed", util::JsonValue::integer(failed_.value()));
-    o.set("timed_out", util::JsonValue::integer(timed_out_.value()));
-    o.set("late_completions",
-          util::JsonValue::integer(late_completions_.value()));
-    o.set("cache_answers",
-          util::JsonValue::integer(cache_answers_.value()));
-    o.set("bad_requests",
-          util::JsonValue::integer(bad_requests_.value()));
-    o.set("cancelled", util::JsonValue::integer(cancelled_.value()));
-    o.set("deadline_expired",
-          util::JsonValue::integer(deadline_expired_.value()));
-    o.set("degraded", util::JsonValue::integer(degraded_.value()));
-    o.set("coalesced", util::JsonValue::integer(coalesced_.value()));
+    setCounts(&o, {{"workers", pool_->jobs()},
+                   {"queue_depth", cfg_.queueDepth},
+                   {"active", table_.active()},
+                   {"running", table_.running()},
+                   {"submitted", c.submitted},
+                   {"admitted", c.admitted},
+                   {"shed", c.shed},
+                   {"completed", c.completed},
+                   {"failed", c.failed},
+                   {"timed_out", c.timedOut},
+                   {"late_completions", c.lateCompletions},
+                   {"cache_answers", c.cacheAnswers},
+                   {"bad_requests", c.badRequests},
+                   {"cancelled", c.cancelled},
+                   {"deadline_expired", c.deadlineExpired},
+                   {"degraded", c.degraded},
+                   {"coalesced", c.coalesced}});
 
     util::JsonValue cache = util::JsonValue::object();
-    cache.set("mem_hits", util::JsonValue::integer(cs.memHits));
-    cache.set("disk_hits", util::JsonValue::integer(cs.diskHits));
-    cache.set("misses", util::JsonValue::integer(cs.misses));
-    cache.set("stores", util::JsonValue::integer(cs.stores));
-    cache.set("evictions", util::JsonValue::integer(cs.evictions));
-    cache.set("disk_errors", util::JsonValue::integer(cs.diskErrors));
-    cache.set("quarantined",
-              util::JsonValue::integer(cs.quarantined));
-    cache.set("scanned", util::JsonValue::integer(cs.scanned));
-    cache.set("tmp_cleaned", util::JsonValue::integer(cs.tmpCleaned));
+    setCounts(&cache, {{"mem_hits", cs.memHits},
+                       {"disk_hits", cs.diskHits},
+                       {"misses", cs.misses},
+                       {"stores", cs.stores},
+                       {"evictions", cs.evictions},
+                       {"disk_errors", cs.diskErrors},
+                       {"quarantined", cs.quarantined},
+                       {"scanned", cs.scanned},
+                       {"tmp_cleaned", cs.tmpCleaned}});
     o.set("cache", std::move(cache));
 
     if (chaos_) {
         fault::ServiceFaultCounters fc = chaos_->counters();
         util::JsonValue chaos = util::JsonValue::object();
-        chaos.set("seed", util::JsonValue::integer(cfg_.chaos.seed));
-        chaos.set("slow_writes",
-                  util::JsonValue::integer(fc.slowWrites));
-        chaos.set("disconnects",
-                  util::JsonValue::integer(fc.disconnects));
-        chaos.set("garbles", util::JsonValue::integer(fc.garbles));
-        chaos.set("torn_writes",
-                  util::JsonValue::integer(fc.tornWrites));
-        chaos.set("bit_flips", util::JsonValue::integer(fc.bitFlips));
+        setCounts(&chaos, {{"seed", cfg_.chaos.seed},
+                           {"slow_writes", fc.slowWrites},
+                           {"disconnects", fc.disconnects},
+                           {"garbles", fc.garbles},
+                           {"torn_writes", fc.tornWrites},
+                           {"bit_flips", fc.bitFlips}});
         o.set("chaos", std::move(chaos));
     }
 
@@ -614,75 +464,39 @@ ServiceCore::statszSnapshot()
     return o;
 }
 
-std::uint64_t
-ServiceCore::pickNextLocked()
-{
-    // Round-robin: resume the sweep one past the last served client,
-    // take the head of the first non-empty FIFO.
-    const std::size_t n = queues_.size();
-    for (std::size_t step = 0; step < n; ++step) {
-        std::size_t i = (rr_next_ + step) % n;
-        if (!queues_[i].pending.empty()) {
-            std::uint64_t id = queues_[i].pending.front();
-            queues_[i].pending.pop_front();
-            rr_next_ = (i + 1) % n;
-            return id;
-        }
-    }
-    return 0;
-}
-
 void
 ServiceCore::runOne()
 {
-    std::uint64_t id = 0;
-    JobSpec spec;
-    util::JsonValue job;
-    std::string key;
+    std::optional<JobTable::Dispatch> picked;
     {
         core::MutexLock lock(mutex_);
-        id = pickNextLocked();
-        // A record can vanish before this task picks it up (reaped
-        // waiter, evicted job) or stop being runnable (cancelled or
-        // deadline-expired while queued), but the task still owns one
-        // admission slot — leaking it would shrink the effective
-        // queue depth permanently.
-        auto it = id != 0 ? jobs_.find(id) : jobs_.end();
-        if (it == jobs_.end() ||
-            it->second.state != JobState::Queued) {
-            --active_;
+        picked = table_.dispatch(Clock::now());
+        if (!picked) {
             done_cv_.notify_all();
             return;
         }
-        it->second.state = JobState::Running;
-        it->second.started = Clock::now();
-        running_.push_back(id);
-        spec = it->second.spec;
-        job = std::move(it->second.job);
-        key = it->second.key;
     }
+    const JobSpec &spec = picked->spec;
 
     Execution run;
-    std::string error;
-    bool ok = true;
+    JobTable::Outcome outcome;
     try {
-        run = executor_->execute(spec, job);
+        run = executor_->execute(spec, picked->job);
     } catch (const std::exception &e) {
-        ok = false;
-        error = e.what();
+        outcome.ok = false;
+        outcome.text = e.what();
     }
     // No executor could answer: fall back exactly as an admission
     // shed does — the model-tier estimate, else a retry hint.
-    bool unavailable = ok && !run.answered;
-    if (unavailable) {
+    if (outcome.ok && !run.answered) {
         if (std::optional<util::JsonValue> estimate =
                 degradedResult(spec)) {
             run.result = estimate->dump();
             run.degraded = true;
-            unavailable = false;
         } else {
-            ok = false;
-            error = "unavailable: " + run.why;
+            outcome.ok = false;
+            outcome.unavailable = true;
+            outcome.text = "unavailable: " + run.why;
         }
     }
 
@@ -693,157 +507,31 @@ ServiceCore::runOne()
     // A job cancelled or abandoned while running still publishes:
     // its result is deterministic and correct, only unclaimed. A
     // degraded estimate never does.
-    if (ok && !run.degraded && !key.empty())
-        cache_->put(key, run.result);
+    if (outcome.ok && !run.degraded && !picked->key.empty())
+        cache_->put(picked->key, run.result);
+    if (outcome.ok) {
+        outcome.text = std::move(run.result);
+        outcome.degraded = run.degraded;
+    }
 
     core::MutexLock lock(mutex_);
-    running_.erase(std::remove(running_.begin(), running_.end(), id),
-                   running_.end());
-    --active_;
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        done_cv_.notify_all();
-        return;
-    }
-    JobRecord &rec = it->second;
-    if (rec.state == JobState::TimedOut ||
-        rec.state == JobState::Cancelled) {
-        // The lazy watchdog (or an explicit cancel) already answered
-        // for this job; the thread was merely abandoned, not
-        // interrupted. Count and discard.
-        late_completions_.inc();
-        done_cv_.notify_all();
-        return;
-    }
-    double ms = msSince(rec.enqueued, Clock::now());
-    latency_ms_.add(ms);
-    latency_hist_.add(ms);
-    if (ok) {
-        completed_.inc();
-        if (run.degraded) {
-            degraded_.inc();
-            rec.degraded = true;
-        }
-        finishLocked(rec, JobState::Done, std::move(run.result));
-    } else {
-        failed_.inc();
-        rec.unavailable = unavailable;
-        finishLocked(rec, JobState::Failed, std::move(error));
+    if (std::optional<double> ms =
+            table_.complete(picked->id, std::move(outcome),
+                            Clock::now())) {
+        latency_ms_.add(*ms);
+        latency_hist_.add(*ms);
     }
     done_cv_.notify_all();
 }
 
 void
-ServiceCore::reapOverdueLocked(Clock::time_point now)
+ServiceCore::reapLocked()
 {
-    // Running jobs: the watchdog budget counts from dispatch, a
-    // deadline from admission. Either one expiring abandons the
-    // thread (it cannot be interrupted; the late completion is
-    // counted and discarded).
-    bool reaped = false;
-    for (std::uint64_t id : running_) {
-        auto it = jobs_.find(id);
-        if (it == jobs_.end() ||
-            it->second.state != JobState::Running)
-            continue;
-        JobRecord &rec = it->second;
-        if (cfg_.watchdog.count() > 0 &&
-            now - rec.started >= cfg_.watchdog) {
-            timed_out_.inc();
-            reaped = true;
-            finishLocked(rec, JobState::TimedOut,
-                         strprintf("watchdog: exceeded %lld ms",
-                                   static_cast<long long>(
-                                       cfg_.watchdog.count())));
-            continue;
-        }
-        std::uint64_t dl = rec.spec.deadlineMs;
-        if (dl > 0 &&
-            now - rec.enqueued >= std::chrono::milliseconds(dl)) {
-            timed_out_.inc();
-            deadline_expired_.inc();
-            reaped = true;
-            finishLocked(rec, JobState::TimedOut,
-                         strprintf("deadline: exceeded %llu ms "
-                                   "while running",
-                                   static_cast<unsigned long long>(
-                                       dl)));
-        }
-    }
-
-    // Queued jobs: a deadline that expires before dispatch cancels
-    // the job in place. The id stays in its client FIFO — the pool
-    // task that eventually picks it sees a non-Queued record and
-    // just releases the admission slot.
-    for (const ClientQueue &q : queues_) {
-        for (std::uint64_t id : q.pending) {
-            auto it = jobs_.find(id);
-            if (it == jobs_.end() ||
-                it->second.state != JobState::Queued)
-                continue;
-            JobRecord &rec = it->second;
-            std::uint64_t dl = rec.spec.deadlineMs;
-            if (dl == 0 ||
-                now - rec.enqueued < std::chrono::milliseconds(dl))
-                continue;
-            cancelled_.inc();
-            deadline_expired_.inc();
-            reaped = true;
-            finishLocked(rec, JobState::Cancelled,
-                         strprintf("deadline: %llu ms expired "
-                                   "before dispatch",
-                                   static_cast<unsigned long long>(
-                                       dl)));
-        }
-    }
     // Wake waiters only on a state change: every waiter reaps on each
     // wake-up, so an unconditional notify would have two waiters wake
     // each other in a busy loop for as long as their jobs run.
-    if (reaped)
+    if (table_.reap(Clock::now()))
         done_cv_.notify_all();
-}
-
-void
-ServiceCore::finishLocked(JobRecord &rec, JobState state,
-                          std::string result_or_error)
-{
-    // The leader is terminal: detach its single-flight entry so the
-    // next identical submit starts (or cache-hits) fresh. Waiters
-    // blocked on this id read the terminal answer below — a
-    // cancelled or timed-out leader answers them with that state
-    // rather than orphaning them.
-    if (!rec.key.empty()) {
-        auto flight = inflight_.find(rec.key);
-        if (flight != inflight_.end() && flight->second == rec.id)
-            inflight_.erase(flight);
-    }
-    rec.state = state;
-    if (state == JobState::Done)
-        rec.result = std::move(result_or_error);
-    else
-        rec.error = std::move(result_or_error);
-    done_order_.push_back(rec.id);
-    trimDoneLocked();
-}
-
-void
-ServiceCore::trimDoneLocked()
-{
-    // A timed-out record whose thread is still running (id still in
-    // running_) is re-queued instead of erased — the late completion
-    // needs the record. The scan bound keeps this a single pass.
-    std::size_t scan = done_order_.size();
-    while (done_order_.size() > cfg_.retainDone && scan-- > 0) {
-        std::uint64_t victim = done_order_.front();
-        done_order_.pop_front();
-        bool thread_live = std::find(running_.begin(), running_.end(),
-                                     victim) != running_.end();
-        if (thread_live) {
-            done_order_.push_back(victim);
-            continue;
-        }
-        jobs_.erase(victim);
-    }
 }
 
 util::JsonValue

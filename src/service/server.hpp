@@ -57,50 +57,34 @@
  * Without it, both answer {"ok":false,...,"retry_after_ms":N}.
  * Degraded answers (including an executor's own) are never cached.
  *
- * Concurrency: one core::Mutex guards every piece of job state (the
- * annotations below are checked by Clang Thread Safety Analysis, see
- * core/thread_annotations.hpp and DESIGN.md §15). Job execution, the
- * degraded-model solve and cache publication all happen *outside*
- * the lock — the locked sections are bookkeeping only. The lifecycle
- * transitions those sections implement are model-checked exhaustively
- * by the src/verify/ service schedule explorer.
+ * Concurrency: ServiceCore is a JobTable (job_table.hpp) — all job
+ * state — under one core::Mutex (annotations checked by Clang Thread
+ * Safety Analysis, DESIGN.md §15), plus I/O: parsing, the cache, the
+ * pool, the executor, the degraded-model solve, waiting, rendering.
+ * Execution, the solve and cache publication run *outside* the lock;
+ * each locked section is one JobTable transition, the same ones the
+ * lifecycle checker (lifecycle_check.hpp) explores.
  */
 
 #ifndef RINGSIM_SERVICE_SERVER_HPP
 #define RINGSIM_SERVICE_SERVER_HPP
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "core/thread_annotations.hpp"
 #include "runner/experiment_runner.hpp"
 #include "service/config.hpp"
 #include "service/executor.hpp"
 #include "service/job.hpp"
+#include "service/job_table.hpp"
 #include "service/result_cache.hpp"
 #include "stats/stats.hpp"
 
 namespace ringsim::service {
-
-/** Lifecycle of one admitted job. */
-enum class JobState {
-    Queued,
-    Running,
-    Done,
-    Failed,
-    TimedOut,
-    Cancelled,
-};
-
-/** Printable state name ("queued", ...). */
-const char *jobStateName(JobState s);
 
 class ServiceCore
 {
@@ -144,23 +128,6 @@ class ServiceCore
     fault::ServiceFaultInjector *chaosInjector() { return chaos_.get(); }
 
   private:
-    struct JobRecord
-    {
-        std::uint64_t id = 0;
-        std::string client;
-        JobSpec spec;
-        util::JsonValue job; //!< client job object (moved out at dispatch)
-        std::string key; //!< cache key ("" when not cacheable)
-        JobState state = JobState::Queued;
-        std::string result; //!< dumped result object (Done/degraded)
-        std::string error;  //!< failure text (Failed/TimedOut/...)
-        bool degraded = false;       //!< result is a model estimate
-        bool degradeStarted = false; //!< escalation claimed (once)
-        bool unavailable = false; //!< no executor answered: shed-style
-        std::chrono::steady_clock::time_point enqueued;
-        std::chrono::steady_clock::time_point started;
-    };
-
     std::string handleSubmit(const std::string &client,
                              const util::JsonValue &req)
         EXCLUDES(mutex_);
@@ -169,6 +136,10 @@ class ServiceCore
     std::string handleCancel(const util::JsonValue &req)
         EXCLUDES(mutex_);
     std::string handleStatsz() EXCLUDES(mutex_);
+
+    /** Count a malformed request; its error line for @p op. */
+    std::string badRequest(const char *op, const std::string &message)
+        EXCLUDES(mutex_);
 
     /** ServiceCore's own statsz sections, under the lock. */
     util::JsonValue statszSnapshot() EXCLUDES(mutex_);
@@ -191,22 +162,8 @@ class ServiceCore
     /** Pool slot body: pick the next job fairly and execute it. */
     void runOne() EXCLUDES(mutex_);
 
-    /** Pick the next job id round-robin over clients. */
-    std::uint64_t pickNextLocked() REQUIRES(mutex_);
-
-    /**
-     * Mark running jobs past the watchdog budget or their deadline,
-     * and cancel queued jobs whose deadline expired.
-     */
-    void reapOverdueLocked(std::chrono::steady_clock::time_point now)
-        REQUIRES(mutex_);
-
-    /** Retire @p rec into the done set. */
-    void finishLocked(JobRecord &rec, JobState state,
-                      std::string result_or_error) REQUIRES(mutex_);
-
-    /** Drop oldest retained records beyond cfg_.retainDone. */
-    void trimDoneLocked() REQUIRES(mutex_);
+    /** Expire overdue jobs; wake the waiters if any expired. */
+    void reapLocked() REQUIRES(mutex_);
 
     /** Render a job's poll/submit view. */
     util::JsonValue jobJsonLocked(const JobRecord &rec) const
@@ -222,63 +179,7 @@ class ServiceCore
     mutable core::Mutex mutex_;
     std::condition_variable done_cv_;
     bool shutdown_ GUARDED_BY(mutex_) = false;
-    std::uint64_t next_id_ GUARDED_BY(mutex_) = 1;
-
-    /** Keyed lookup only (never iterated — see the lint rule). */
-    std::unordered_map<std::uint64_t, JobRecord> jobs_
-        GUARDED_BY(mutex_);
-
-    /**
-     * Single-flight index — the only one; the fleet coordinator is a
-     * ServiceCore too: cache key -> id of the one admitted job
-     * computing it. A cacheable submit whose key is already in
-     * flight attaches to that job (same id, "coalesced": true, no
-     * admission slot) instead of executing again; the entry is
-     * erased when the leader reaches any terminal state, at which
-     * point waiters read the leader's answer — including a
-     * cancellation or timeout, so a dead leader answers its waiters
-     * rather than orphaning them. Keyed lookup only (never
-     * iterated — see the lint rule).
-     */
-    std::unordered_map<std::string, std::uint64_t> inflight_
-        GUARDED_BY(mutex_);
-
-    /** Ids of running jobs, in start order (for the lazy watchdog). */
-    std::vector<std::uint64_t> running_ GUARDED_BY(mutex_);
-
-    /** Retained finished ids, oldest first (for trimDoneLocked). */
-    std::deque<std::uint64_t> done_order_ GUARDED_BY(mutex_);
-
-    /** Per-client pending FIFOs, visited round-robin. */
-    struct ClientQueue
-    {
-        std::string name;
-        std::deque<std::uint64_t> pending;
-    };
-    std::vector<ClientQueue> queues_ GUARDED_BY(mutex_);
-    std::size_t rr_next_ GUARDED_BY(mutex_) = 0;
-
-    /** queued + running (admission bound). */
-    std::size_t active_ GUARDED_BY(mutex_) = 0;
-
-    // Counters for /statsz.
-    stats::Counter submitted_ GUARDED_BY(mutex_);
-    stats::Counter admitted_ GUARDED_BY(mutex_);
-    stats::Counter shed_ GUARDED_BY(mutex_);
-    stats::Counter completed_ GUARDED_BY(mutex_);
-    stats::Counter failed_ GUARDED_BY(mutex_);
-    stats::Counter timed_out_ GUARDED_BY(mutex_);
-    stats::Counter late_completions_ GUARDED_BY(mutex_);
-    stats::Counter cache_answers_ GUARDED_BY(mutex_);
-    stats::Counter bad_requests_ GUARDED_BY(mutex_);
-    /** Explicit + disconnect cancellations. */
-    stats::Counter cancelled_ GUARDED_BY(mutex_);
-    /** Deadline expiries, queued or running. */
-    stats::Counter deadline_expired_ GUARDED_BY(mutex_);
-    /** Model-tier answers served. */
-    stats::Counter degraded_ GUARDED_BY(mutex_);
-    /** Submits attached to an identical in-flight job. */
-    stats::Counter coalesced_ GUARDED_BY(mutex_);
+    JobTable table_ GUARDED_BY(mutex_);
 
     /** Job service latency (admission to completion), milliseconds. */
     stats::Sampler latency_ms_ GUARDED_BY(mutex_);

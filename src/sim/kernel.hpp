@@ -98,12 +98,6 @@ struct KernelStats
 
     /** Wall-clock seconds spent inside run(). */
     double runSeconds = 0;
-
-    /** Events fired per wall-clock second inside run() (0 if unknown). */
-    double eventsPerSecond() const {
-        return runSeconds > 0 ? static_cast<double>(processed) / runSeconds
-                              : 0.0;
-    }
 };
 
 /**

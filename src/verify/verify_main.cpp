@@ -4,8 +4,9 @@
  *
  * With no arguments, checks both ring protocols across the default
  * matrix (2/3/4 nodes x 1/2 blocks, faults off and on), then explores
- * the experiment-service job lifecycle across its own small matrix
- * (workers x depth), and prints one summary line per configuration.
+ * the service JobTable that ringsim_serve and ringsim_fleetd run
+ * across its own matrix (workers x depth x retention), and prints one
+ * summary line per configuration.
  * Exit status is 0 only when every configuration is clean, so the
  * build/CI can gate on it.
  */
@@ -16,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "service/lifecycle_check.hpp"
 #include "verify/model.hpp"
-#include "verify/service_model.hpp"
 
 namespace {
 
@@ -60,7 +61,7 @@ defaultFullInterleaving(unsigned nodes, bool faults)
 
 void
 printJson(const std::vector<ModelReport> &reports,
-          const std::vector<verify::ServiceModelReport> &service)
+          const std::vector<service::LifecycleReport> &lifecycle)
 {
     std::printf("{\"protocol\": [\n");
     for (size_t i = 0; i < reports.size(); ++i) {
@@ -88,43 +89,25 @@ printJson(const std::vector<ModelReport> &reports,
             i + 1 < reports.size() ? "," : "");
     }
     std::printf("], \"service\": [\n");
-    for (size_t i = 0; i < service.size(); ++i) {
-        const verify::ServiceModelReport &r = service[i];
+    for (size_t i = 0; i < lifecycle.size(); ++i) {
+        const service::LifecycleReport &r = lifecycle[i];
         std::printf(
             "  {\"jobs\": %u, \"clients\": %u, \"workers\": %u, "
-            "\"depth\": %u, \"mutation\": \"%s\",\n"
+            "\"depth\": %u, \"retain\": %u, \"mutation\": \"%s\",\n"
             "   \"states\": %llu, \"transitions\": %llu, "
             "\"quiescent\": %llu, \"truncated\": %s, "
             "\"violations\": %llu}%s\n",
             r.config.jobs, r.config.clients, r.config.workers,
-            r.config.depth,
-            verify::serviceMutationName(r.config.mutation),
+            r.config.depth, r.config.retainDone,
+            service::tableMutationName(r.config.mutation),
             static_cast<unsigned long long>(r.states),
             static_cast<unsigned long long>(r.transitions),
             static_cast<unsigned long long>(r.quiescentStates),
             r.truncated ? "true" : "false",
             static_cast<unsigned long long>(r.violationsTotal),
-            i + 1 < service.size() ? "," : "");
+            i + 1 < lifecycle.size() ? "," : "");
     }
     std::printf("]}\n");
-}
-
-/** The default service-lifecycle matrix: every worker/depth shape the
- *  tiny model supports, all event classes enabled. */
-std::vector<verify::ServiceModelConfig>
-serviceMatrix(verify::ServiceMutation mutation)
-{
-    std::vector<verify::ServiceModelConfig> jobs;
-    for (unsigned workers : {1u, 2u}) {
-        for (unsigned depth : {1u, 2u, 3u}) {
-            verify::ServiceModelConfig c;
-            c.workers = workers;
-            c.depth = depth;
-            c.mutation = mutation;
-            jobs.push_back(c);
-        }
-    }
-    return jobs;
 }
 
 } // namespace
@@ -136,8 +119,7 @@ main(int argc, char **argv)
     bool haveProtocol = false, haveNodes = false;
     bool haveFaults = false, haveFull = false;
     bool serviceOnly = false;
-    verify::ServiceMutation serviceMutation =
-        verify::ServiceMutation::None;
+    service::TableMutation serviceMutation = service::TableMutation::None;
     ModelConfig base;
 
     for (int i = 1; i < argc; ++i) {
@@ -166,8 +148,8 @@ main(int argc, char **argv)
             return 0;
         }
         if (arg == "--list-service-mutations") {
-            for (auto m : verify::allServiceMutations)
-                std::printf("%s\n", verify::serviceMutationName(m));
+            for (auto m : service::allTableMutations)
+                std::printf("%s\n", service::tableMutationName(m));
             return 0;
         }
         if (arg == "--service") {
@@ -175,8 +157,7 @@ main(int argc, char **argv)
             continue;
         }
         if (const char *v = value("--service-mutate=")) {
-            if (!verify::serviceMutationFromName(v,
-                                                 &serviceMutation)) {
+            if (!service::tableMutationFromName(v, &serviceMutation)) {
                 std::fprintf(stderr,
                              "unknown service mutation \"%s\" "
                              "(--list-service-mutations)\n",
@@ -292,9 +273,9 @@ main(int argc, char **argv)
     // The service-lifecycle group runs in the default matrix and
     // whenever --service/--service-mutate asks for it; a single
     // protocol configuration (--protocol/--nodes) skips it.
-    std::vector<verify::ServiceModelConfig> serviceJobs;
+    std::vector<service::LifecycleConfig> serviceJobs;
     if (serviceOnly || !(haveProtocol || haveNodes))
-        serviceJobs = serviceMatrix(serviceMutation);
+        serviceJobs = service::lifecycleMatrix(serviceMutation);
 
     std::vector<ModelReport> reports;
     std::uint64_t violations = 0;
@@ -311,18 +292,17 @@ main(int argc, char **argv)
         reports.push_back(std::move(rep));
     }
 
-    std::vector<verify::ServiceModelReport> serviceReports;
-    for (const verify::ServiceModelConfig &job : serviceJobs) {
-        verify::ServiceModelReport rep =
-            verify::checkServiceLifecycle(job);
+    std::vector<service::LifecycleReport> serviceReports;
+    for (const service::LifecycleConfig &job : serviceJobs) {
+        service::LifecycleReport rep = service::checkLifecycle(job);
         violations += rep.violationsTotal;
         if (rep.truncated)
             ++violations;
         if (!json) {
             std::printf("%s\n", rep.summary().c_str());
-            for (const verify::ServiceFinding &f : rep.findings) {
+            for (const service::LifecycleFinding &f : rep.findings) {
                 std::printf("    %s: %s\n",
-                            verify::serviceDefectName(f.kind),
+                            service::lifecycleDefectName(f.kind),
                             f.detail.c_str());
                 for (const std::string &step : f.trace)
                     std::printf("        %s\n", step.c_str());

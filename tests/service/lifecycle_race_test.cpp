@@ -1,13 +1,13 @@
 /**
  * @file
- * Replays of the schedule explorer's nastiest interleavings against
- * the real ServiceCore (src/verify/service_model.* proves them safe
- * in the model; these tests pin the implementation to the model).
- * Each test drives one counterexample-shaped race — cancel vs.
- * complete, deadline vs. dispatch, disconnect vs. shed — and then
- * asserts the slot accounting the explorer checks: `active` drains
- * to zero, every admitted job is answered exactly once, and late
- * completions are counted and discarded.
+ * Races on the threaded ServiceCore that the lifecycle checker
+ * (src/service/lifecycle_check.*) explores on its JobTable: cancel
+ * vs. complete, deadline vs. dispatch, disconnect vs. shed, and a
+ * cancel whose own finish fills the retention bound. Each test drives
+ * one interleaving through real pool threads and then asserts what
+ * the checker asserts at quiescence: `active` drains to zero, and
+ * every admitted job is counted exactly once as completed, failed,
+ * timed out or cancelled (late completions are counted apart).
  */
 
 #include <gtest/gtest.h>
@@ -116,7 +116,23 @@ waitForStat(ServiceCore &core, const char *field, std::uint64_t want)
     return false;
 }
 
-/** Explorer trace: submit -> dispatch -> cancel -> complete(late).
+/** The checker's quiescence identity, read from statsz. */
+void
+expectBalanced(ServiceCore &core)
+{
+    util::JsonValue sz =
+        parse(core.handleLine("t", "{\"op\":\"statsz\"}"));
+    std::vector<std::string> errors;
+    auto get = [&](const char *field) {
+        return sz.getU64(field, 9999, &errors);
+    };
+    EXPECT_EQ(get("active"), 0u);
+    EXPECT_EQ(get("admitted"), get("completed") + get("failed") +
+                                   get("timed_out") + get("cancelled"))
+        << sz.dump();
+}
+
+/** Checker trace: submit -> dispatch -> cancel -> complete(late).
  *  The cancel answers the job; the thread finishing afterwards is a
  *  late completion that must release the slot without re-answering. */
 TEST(LifecycleRace, CancelVsCompleteCountsLateCompletion)
@@ -149,9 +165,10 @@ TEST(LifecycleRace, CancelVsCompleteCountsLateCompletion)
     EXPECT_TRUE(done.getBool("ok", false, &errors));
     EXPECT_EQ(done.getString("state", "", &errors), "done");
     EXPECT_EQ(statsU64(core, "active"), 0u);
+    expectBalanced(core);
 }
 
-/** Explorer trace: submit j0 -> dispatch j0 -> submit j1(deadline)
+/** Checker trace: submit j0 -> dispatch j0 -> submit j1(deadline)
  *  -> deadline fires before j1 dispatches. The pool task that later
  *  picks j1 must drain it and release its slot. */
 TEST(LifecycleRace, DeadlineVsDispatchReleasesSlot)
@@ -180,9 +197,10 @@ TEST(LifecycleRace, DeadlineVsDispatchReleasesSlot)
     EXPECT_EQ(statsU64(core, "completed"), 2u);
     EXPECT_EQ(statsU64(core, "cancelled"), 1u);
     EXPECT_EQ(statsU64(core, "late_completions"), 0u);
+    expectBalanced(core);
 }
 
-/** Explorer trace: client a fills the depth -> client b sheds ->
+/** Checker trace: client a fills the depth -> client b sheds ->
  *  a disconnects (queued job swept) -> b is admitted. */
 TEST(LifecycleRace, DisconnectVsShedFreesSlots)
 {
@@ -228,6 +246,42 @@ TEST(LifecycleRace, DisconnectVsShedFreesSlots)
     EXPECT_EQ(statsU64(core, "admitted"), 4u);
     EXPECT_EQ(statsU64(core, "completed"), 3u);
     EXPECT_EQ(statsU64(core, "cancelled"), 1u);
+    expectBalanced(core);
+}
+
+/** Checker trace: submit j0 -> submit j1 -> dispatch j0 -> watchdog
+ *  on j0 -> cancel j1, at the smallest retention. The cancel's own
+ *  finish fills --retain while both abandoned threads still run; the
+ *  cancel must still answer from its own record, and the dropped
+ *  records' late completions must still release their slots. */
+TEST(LifecycleRace, CancelAfterTrimAnswersFromItsOwnRecord)
+{
+    ServiceConfig cfg = raceConfig();
+    cfg.retainDone = 1;
+    cfg.watchdog = 50ms;
+    ServiceCore core(cfg);
+    submitOk(core, "c", sleeper(600));
+    submitOk(core, "c", sleeper(600));
+    // Both threads are abandoned but keep their workers until ~600 ms.
+    ASSERT_TRUE(waitForStat(core, "timed_out", 2));
+    std::uint64_t queued = submitOk(core, "c", sleeper(5));
+
+    util::JsonValue r = parse(core.handleLine(
+        "c",
+        "{\"op\":\"cancel\",\"id\":" + std::to_string(queued) + "}"));
+    std::vector<std::string> errors;
+    EXPECT_TRUE(r.getBool("ok", false, &errors)) << r.dump();
+    EXPECT_EQ(r.getString("state", "", &errors), "cancelled");
+    EXPECT_EQ(r.getString("error", "", &errors), "cancelled by request");
+    EXPECT_EQ(pollState(core, queued), "cancelled");
+
+    EXPECT_TRUE(waitForStat(core, "late_completions", 2))
+        << "a dropped record's late completion was not counted";
+    EXPECT_TRUE(waitForStat(core, "active", 0));
+    EXPECT_EQ(statsU64(core, "admitted"), 3u);
+    EXPECT_EQ(statsU64(core, "timed_out"), 2u);
+    EXPECT_EQ(statsU64(core, "cancelled"), 1u);
+    expectBalanced(core);
 }
 
 } // namespace
